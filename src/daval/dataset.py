@@ -14,6 +14,7 @@ failure.
 from __future__ import annotations
 
 import csv
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
@@ -231,6 +232,8 @@ def _parse_row(
             time = float(time_raw)
         except ValueError:
             raise ValueError(f"time {time_raw!r} is not a number") from None
+        if not math.isfinite(time):
+            raise ValueError(f"time {time_raw!r} is not finite")
         if time < 0:
             raise ValueError("negative survival time")
         if event_raw not in ("0", "1"):
@@ -251,7 +254,10 @@ def _parse_row(
     for col in covariate_cols:
         raw = (row.get(col) or "").strip()
         if raw:
-            covariates[col] = float(raw)
+            value = float(raw)
+            if not math.isfinite(value):
+                raise ValueError(f"covariate {col!r} value {raw!r} is not finite")
+            covariates[col] = value
 
     return ValidationRecord(
         subject_id=subject_id,
@@ -279,8 +285,9 @@ def ingest_csv(
     of its nonempty cells parse as numbers, and excluded (reported in
     ``excluded_columns``) otherwise.
 
-    Rows that fail to parse are collected into ``errors`` with their 1-based
-    data-row number; with ``strict=True`` the first quarantined row raises.
+    Rows that fail to parse, including non-finite time and covariate cells,
+    are collected into ``errors`` with their 1-based data-row number; with
+    ``strict=True`` the first quarantined row raises.
     Row order is preserved.
     """
     path = Path(path)
@@ -290,7 +297,8 @@ def ingest_csv(
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise ValueError(f"{path} is empty (no header row)")
-        header = [name.strip() for name in reader.fieldnames]
+        # Rows are keyed by the stripped names, the same ones columns resolve to.
+        reader.fieldnames = header = [name.strip() for name in reader.fieldnames]
         rows = list(reader)
 
     resolved = _resolve_mapping(header, mapping)

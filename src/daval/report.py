@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable
 
+import numpy as np
+
 from ._version import __version__
 from .accuracy import (
     CIMethod,
@@ -337,6 +339,11 @@ def _ratio_dict(rc: RatioCI | None) -> dict[str, Any] | None:
     }
 
 
+def _posttest_or_zero(pretest: float, lr: float) -> float:
+    # An empty fn (or fp) cell gives LR = 0, and with it zero post-test odds.
+    return 0.0 if lr == 0 else posttest_risk(pretest, lr)
+
+
 def _run_accuracy(
     records: list[ValidationRecord], params: dict, level: float, method: CIMethod
 ) -> tuple[dict, dict]:
@@ -356,8 +363,8 @@ def _run_accuracy(
     if pretest is not None:
         block["posttest"] = {
             "pretest": pretest,
-            "after_positive": posttest_risk(pretest, lrs["lr_pos"].estimate),
-            "after_negative": posttest_risk(pretest, lrs["lr_neg"].estimate),
+            "after_positive": _posttest_or_zero(pretest, lrs["lr_pos"].estimate),
+            "after_negative": _posttest_or_zero(pretest, lrs["lr_neg"].estimate),
         }
     goal = params.get("goal")
     if goal is not None:
@@ -507,7 +514,7 @@ def _run_riskscore(
 
     if "train_prev" in params:
         train, target = params["train_prev"], params["target_prev"]
-        scaled = [prevalence_scale(s, train, target) for s in scores]
+        scaled = prevalence_scale(np.asarray(scores, dtype=float), train, target)
         # The cited methodology leaves the order of recalibration and scaling
         # open, so both orders are reported side by side.
         block["prevalence_scaling"] = {

@@ -127,12 +127,16 @@ class KMCurve:
         return 1.0 if idx < 0 else float(self.survival[idx])
 
 
-def _loglog_interval(s: float, gw_sum: float, level: float) -> tuple[float, float]:
+def _normal_quantile(level: float) -> float:
+    """Two-sided standard normal critical value for a confidence level."""
+    return float(stats.norm.ppf(1 - (1 - level) / 2))
+
+
+def _loglog_interval(s: float, gw_sum: float, z: float) -> tuple[float, float]:
     if s >= 1.0:
         return 1.0, 1.0
     if s <= 0.0:
         return 0.0, 0.0
-    z = float(stats.norm.ppf(1 - (1 - level) / 2))
     spread = z * math.sqrt(gw_sum) / abs(math.log(s))
     return s ** math.exp(spread), s ** math.exp(-spread)
 
@@ -145,7 +149,7 @@ def km_estimate(
     e = np.asarray(events, dtype=bool)
     if t.shape != e.shape or t.ndim != 1 or len(t) == 0:
         raise ValueError("times and events must be equal-length nonempty sequences")
-    if np.any(t < 0):
+    if not np.all(t >= 0):  # also refuses NaN, which has no place in a risk set
         raise ValueError("times must be nonnegative")
     if not 0.0 < level < 1.0:
         raise ValueError("level must be in (0, 1)")
@@ -153,14 +157,17 @@ def km_estimate(
     n = len(t)
     order = np.argsort(t, kind="stable")
     t_sorted, e_sorted = t[order], e[order]
-    event_times = np.unique(t_sorted[e_sorted])
+    # Risk sets from the one sort: n_at_risk(et) = #{t >= et}, d(et) = events at et.
+    event_times, event_counts = np.unique(t_sorted[e_sorted], return_counts=True)
+    at_risk = n - np.searchsorted(t_sorted, event_times, side="left")
+    z = _normal_quantile(level)
 
-    out_surv, out_se, out_risk, out_d, out_lo, out_hi, out_sums = [], [], [], [], [], [], []
+    out_surv, out_se, out_lo, out_hi, out_sums = [], [], [], [], []
     s = 1.0
     gw_sum = 0.0
-    for et in event_times:
-        n_at_risk = int(np.sum(t_sorted >= et))
-        d = int(np.sum((t_sorted == et) & e_sorted))
+    # A scalar recurrence in `math` keeps every float identical to the
+    # step-by-step product-limit definition.
+    for n_at_risk, d in zip(at_risk.tolist(), event_counts.tolist()):
         s *= 1.0 - d / n_at_risk
         if n_at_risk > d:
             gw_sum += d / (n_at_risk * (n_at_risk - d))
@@ -168,11 +175,9 @@ def km_estimate(
             s = 0.0
             gw_sum = math.inf
         se = 0.0 if s <= 0.0 else s * math.sqrt(gw_sum)
-        lo, hi = _loglog_interval(s, gw_sum, level)
+        lo, hi = _loglog_interval(s, gw_sum, z)
         out_surv.append(s)
         out_se.append(se)
-        out_risk.append(n_at_risk)
-        out_d.append(d)
         out_lo.append(lo)
         out_hi.append(hi)
         out_sums.append(gw_sum)
@@ -181,12 +186,12 @@ def km_estimate(
         times=event_times,
         survival=np.asarray(out_surv),
         greenwood_se=np.asarray(out_se),
-        at_risk=np.asarray(out_risk, dtype=int),
-        events=np.asarray(out_d, dtype=int),
+        at_risk=at_risk,
+        events=event_counts,
         lower=np.asarray(out_lo),
         upper=np.asarray(out_hi),
         level=level,
-        max_followup=float(np.max(t_sorted)),
+        max_followup=float(t_sorted[-1]),
         greenwood_sums=np.asarray(out_sums),
         n=n,
     )
@@ -214,7 +219,9 @@ def km_risk_at(curve: KMCurve, t: float, level: float = 0.95) -> KMRiskAt:
         s, lo, hi = 1.0, 1.0, 1.0
     else:
         s = float(curve.survival[idx])
-        lo, hi = _loglog_interval(s, float(curve.greenwood_sums[idx]), level)
+        lo, hi = _loglog_interval(
+            s, float(curve.greenwood_sums[idx]), _normal_quantile(level)
+        )
     return KMRiskAt(
         time=float(t),
         risk=1.0 - s,
@@ -273,6 +280,8 @@ def logrank(groups: Sequence[tuple[Sequence[float], Sequence[bool]]]) -> Logrank
             raise ValueError("empty group")
         if t.shape != e.shape:
             raise ValueError("times and events must be equal-length")
+        if np.any(np.isnan(t)):
+            raise ValueError("times must not be NaN")
         times_list.append(t)
         events_list.append(e)
 
@@ -282,14 +291,21 @@ def logrank(groups: Sequence[tuple[Sequence[float], Sequence[bool]]]) -> Logrank
     if len(all_event_times) == 0:
         return LogrankResult(statistic=0.0, df=k - 1, p_value=1.0, degenerate=True)
 
+    # Event-time x group tables of at-risk counts #{t >= et} and event counts,
+    # read off each group's sorted times.
+    n_table = np.empty((len(all_event_times), k))
+    d_table = np.empty((len(all_event_times), k))
+    for j, (t, e) in enumerate(zip(times_list, events_list)):
+        t_sorted = np.sort(t)
+        ev_sorted = np.sort(t[e])
+        n_table[:, j] = len(t) - np.searchsorted(t_sorted, all_event_times, side="left")
+        d_table[:, j] = np.searchsorted(
+            ev_sorted, all_event_times, side="right"
+        ) - np.searchsorted(ev_sorted, all_event_times, side="left")
+
     u = np.zeros(k - 1)
     v = np.zeros((k - 1, k - 1))
-    for et in all_event_times:
-        n_j = np.array([np.sum(t >= et) for t in times_list], dtype=float)
-        d_j = np.array(
-            [np.sum((t == et) & e) for t, e in zip(times_list, events_list)],
-            dtype=float,
-        )
+    for n_j, d_j in zip(n_table, d_table):
         n_t = n_j.sum()
         d_t = d_j.sum()
         frac = n_j[: k - 1] / n_t

@@ -110,6 +110,27 @@ def test_plan_rejects_malformed_documents(raw, fragment):
     assert fragment in str(exc.value).replace("'y_col'", "y_col").replace("'x_col'", "x_col")
 
 
+def test_run_plan_pretest_without_false_negatives(tmp_path):
+    # Sensitivity 1 leaves the fn cell empty, so LR- = 0 and the post-test
+    # risk after a negative result is 0 rather than an error.
+    data = tmp_path / "sim.csv"
+    assert cli_main([
+        "simulate", "--kind", "binary", "--n", "200", "--prevalence", "0.3",
+        "--sensitivity", "1.0", "--specificity", "0.8", "--seed", "5", "--out", str(data),
+    ]) == 0
+    plan = plan_from_dict(
+        plan_dict(data, ["accuracy"], params={"accuracy": {"pretest": 0.25}})
+    )
+    report = run_plan(plan)
+
+    assert not report.has_failures
+    block = report.results["accuracy"]
+    assert block["counts"]["fn"] == 0 and block["counts"]["tp"] > 0
+    assert block["lr_neg"]["estimate"] == 0.0
+    assert block["posttest"]["after_negative"] == 0.0
+    assert 0.25 < block["posttest"]["after_positive"] < 1.0
+
+
 def test_load_plan_errors(tmp_path):
     with pytest.raises(PlanError, match="not found"):
         load_plan(tmp_path / "nope.json")

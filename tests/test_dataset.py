@@ -165,6 +165,52 @@ def test_bad_event_flag_and_negative_time_are_errors(tmp_path):
     assert "event must be 0 or 1" in result.errors[1].message
 
 
+def test_padded_header_names_still_resolve(tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_text(
+        "subject_id, site_id, truth, score, age\n"
+        "s1,a,pos,0.8,61\n"
+        "s2,b,neg,0.3,48.5\n",
+        encoding="utf-8",
+    )
+    result = ingest_csv(p)
+    assert result.errors == ()
+    r1, r2 = result.records
+    assert (r1.subject_id, r1.site_id, r1.truth, r1.output.value) == ("s1", "a", Label.POSITIVE, 0.8)
+    assert (r2.site_id, r2.truth, r2.output.value) == ("b", Label.NEGATIVE, 0.3)
+    assert r2.covariates == {"age": 48.5}
+
+
+@pytest.mark.parametrize("raw", ["inf", "nan", "-inf"])
+def test_non_finite_time_is_quarantined_with_row_number(tmp_path, raw):
+    p = tmp_path / "d.csv"
+    write_csv(
+        p,
+        ["subject_id", "score", "time", "event"],
+        [["s1", "0.5", "2.0", "1"], ["s2", "0.5", raw, "0"]],
+    )
+    result = ingest_csv(p)
+    assert len(result.records) == 1
+    (err,) = result.errors
+    assert err.row == 2
+    assert "not finite" in err.message
+
+
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+def test_non_finite_covariate_is_quarantined_with_row_number(tmp_path, raw):
+    p = tmp_path / "d.csv"
+    write_csv(
+        p,
+        ["subject_id", "output", "age"],
+        [["s1", "pos", "61"], ["s2", "neg", "48"], ["s3", "neg", raw]],
+    )
+    result = ingest_csv(p)
+    assert [r.subject_id for r in result.records] == ["s1", "s2"]
+    (err,) = result.errors
+    assert err.row == 3
+    assert "'age'" in err.message and "not finite" in err.message
+
+
 def test_score_value_constructor_rejects_out_of_range():
     with pytest.raises(ValueError):
         DeviceOutput.score(1.5)

@@ -1,0 +1,31 @@
+"""Golden reports: the demo plans reproduce their committed files byte for byte.
+
+The files under `tests/goldens/<plan>/` are `daval run --plan demo/<plan>.json
+--seed 42 --format md` output. A change that alters any reported number, its
+formatting or a plot CSV fails here; regenerate the goldens only for a change
+that is meant to alter reports, and say why in CHANGES.md.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from daval.cli import main as cli_main
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDENS = Path(__file__).resolve().parent / "goldens"
+
+
+@pytest.mark.parametrize("plan", ["plan", "plan_scores"])
+def test_demo_plan_matches_golden_bytes(tmp_path, plan, capsys):
+    out = tmp_path / plan
+    rc = cli_main([
+        "run", "--plan", str(ROOT / "demo" / f"{plan}.json"), "--seed", "42",
+        "--format", "md", "--out", str(out),
+    ])
+    capsys.readouterr()
+    assert rc == 0
+    expected = sorted(p.name for p in (GOLDENS / plan).iterdir())
+    assert sorted(p.name for p in out.iterdir()) == expected
+    for name in expected:
+        assert (out / name).read_bytes() == (GOLDENS / plan / name).read_bytes(), name
