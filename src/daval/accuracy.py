@@ -13,9 +13,10 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
+import numpy as np
 from scipy import stats
 
-from .dataset import Label, OutputKind, ValidationRecord
+from .dataset import OutputKind, StudyTable, ValidationRecord, first_row
 
 __all__ = [
     "CIMethod",
@@ -129,33 +130,31 @@ class PowerResult:
     assumed_true: float
 
 
-def confusion_from_records(records: Sequence[ValidationRecord]) -> Confusion2x2:
+def confusion_from_records(records: StudyTable | Sequence[ValidationRecord]) -> Confusion2x2:
     """Tally records with truth and binary output into a 2x2 table.
 
     Ungradable or score outputs are rejected: score outputs belong to the
     risk-score analyses, and ungradable cases must go through the QC triage
     table so they are not silently dropped from accuracy estimates.
     """
-    tp = fp = fn = tn = 0
-    for r in records:
-        if r.truth is None:
-            raise ValueError(f"record {r.subject_id!r} lacks a truth label")
-        if r.output.kind is not OutputKind.BINARY:
-            raise ValueError(
-                f"record {r.subject_id!r} has {r.output.kind.value} output; "
-                "2x2 accuracy requires binary outputs (route ungradables to qc triage)"
-            )
-        if r.output.label is Label.POSITIVE:
-            if r.truth is Label.POSITIVE:
-                tp += 1
-            else:
-                fp += 1
-        else:
-            if r.truth is Label.POSITIVE:
-                fn += 1
-            else:
-                tn += 1
-    return Confusion2x2(tp=tp, fp=fp, fn=fn, tn=tn)
+    table = StudyTable.of(records)
+    no_truth = table.truth == -1
+    not_binary = ~table.is_kind(OutputKind.BINARY)
+    i = first_row(no_truth | not_binary)
+    if i >= 0:
+        if no_truth[i]:
+            raise ValueError(f"record {table.subject_id[i]!r} lacks a truth label")
+        raise ValueError(
+            f"record {table.subject_id[i]!r} has {table.kind_at(i).value} output; "
+            "2x2 accuracy requires binary outputs (route ungradables to qc triage)"
+        )
+    called, diseased = table.label == 1, table.truth == 1
+    return Confusion2x2(
+        tp=int(np.count_nonzero(called & diseased)),
+        fp=int(np.count_nonzero(called & ~diseased)),
+        fn=int(np.count_nonzero(~called & diseased)),
+        tn=int(np.count_nonzero(~called & ~diseased)),
+    )
 
 
 def proportion_ci(

@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 from scipy import stats
 
-from .dataset import OutputKind, ValidationRecord
+from .dataset import OutputKind, StudyTable, ValidationRecord, first_row
 
 __all__ = [
     "AgreementResult",
@@ -141,8 +141,12 @@ class PrecisionComponents:
     negative_component_clipped: bool
 
 
+# Record fields a precision condition may name.
+_CONDITION_FIELDS = ("subject_id", "site_id", "operator_id", "device_unit_id", "replicate_index")
+
+
 def precision_cells(
-    records: Iterable[ValidationRecord],
+    records: StudyTable | Iterable[ValidationRecord],
     condition_fields: Sequence[str] = ("operator_id", "device_unit_id"),
 ) -> dict[tuple[str, tuple], list[float]]:
     """Group Score outputs into (subject, condition) cells of replicate values.
@@ -151,18 +155,24 @@ def precision_cells(
     field value contributes "?" so partially annotated studies still group
     deterministically.
     """
+    table = StudyTable.of(records)
+    if not len(table):
+        return {}
+    # The first row's output kind is checked before the field names are.
+    i = first_row(~table.is_kind(OutputKind.SCORE))
+    unknown = [f for f in condition_fields if f not in _CONDITION_FIELDS]
+    if unknown and i != 0:
+        raise ValueError(f"unknown condition field {unknown[0]!r}")
+    if i >= 0:
+        raise ValueError(
+            f"precision analysis needs Score outputs, got {table.kind_at(i).value!r} "
+            f"for subject {table.subject_id[i]!r}"
+        )
+    columns = [getattr(table, f) for f in condition_fields]
+    conditions = zip(*columns) if columns else [()] * len(table)
     cells: dict[tuple[str, tuple], list[float]] = {}
-    for rec in records:
-        if rec.output.kind is not OutputKind.SCORE:
-            raise ValueError(
-                f"precision analysis needs Score outputs, got {rec.output.kind.value!r} "
-                f"for subject {rec.subject_id!r}"
-            )
-        for f in condition_fields:
-            if not hasattr(rec, f):
-                raise ValueError(f"unknown condition field {f!r}")
-        cond = tuple(getattr(rec, f) or "?" for f in condition_fields)
-        cells.setdefault((rec.subject_id, cond), []).append(float(rec.output.value))
+    for subject, cond, value in zip(table.subject_id, conditions, table.score.tolist()):
+        cells.setdefault((subject, tuple(v or "?" for v in cond)), []).append(value)
     return cells
 
 
@@ -250,7 +260,7 @@ def variance_components_from_cells(
 
 
 def variance_components(
-    records: Iterable[ValidationRecord],
+    records: StudyTable | Iterable[ValidationRecord],
     condition_fields: Sequence[str] = ("operator_id", "device_unit_id"),
 ) -> PrecisionComponents:
     """Repeatability/reproducibility components from replicated Score records."""

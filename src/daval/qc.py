@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 from .accuracy import (
     CIMethod,
     Confusion2x2,
@@ -26,7 +28,7 @@ from .accuracy import (
     proportion_ci,
     ratio_ci_log_method,
 )
-from .dataset import Label, OutputKind, ValidationRecord
+from .dataset import OutputKind, StudyTable, ValidationRecord, first_row
 
 __all__ = [
     "TriageConfusion",
@@ -87,26 +89,27 @@ class TriageConfusion:
         return Confusion2x2(tp=self.a, fn=self.b, fp=self.d, tn=self.e)
 
 
-def triage_table(records: Sequence[ValidationRecord]) -> TriageConfusion:
+def triage_table(records: StudyTable | Sequence[ValidationRecord]) -> TriageConfusion:
     """Partition records into the six triage cells.
 
     Score outputs are rejected: a continuous score must be thresholded into a
     binary call upstream before QC triage applies.
     """
-    cells = {name: [0, 0] for name in ROW_NAMES}
-    for r in records:
-        if r.truth is None:
-            raise ValueError(f"record {r.subject_id!r} lacks a truth label")
-        if r.output.kind is OutputKind.SCORE:
-            raise ValueError(
-                f"record {r.subject_id!r} has a score output; threshold scores before triage"
-            )
-        if r.output.kind is OutputKind.UNGRADABLE:
-            row = "ungradable"
-        else:
-            row = "positive" if r.output.label is Label.POSITIVE else "negative"
-        cells[row][0 if r.truth is Label.POSITIVE else 1] += 1
-    (a, d), (b, e), (c, f) = (cells[name] for name in ROW_NAMES)
+    table = StudyTable.of(records)
+    no_truth = table.truth == -1
+    score = table.is_kind(OutputKind.SCORE)
+    i = first_row(no_truth | score)
+    if i >= 0:
+        if no_truth[i]:
+            raise ValueError(f"record {table.subject_id[i]!r} lacks a truth label")
+        raise ValueError(
+            f"record {table.subject_id[i]!r} has a score output; threshold scores before triage"
+        )
+    diseased = table.truth == 1
+    (a, d), (b, e), (c, f) = (
+        (int(np.count_nonzero(row & diseased)), int(np.count_nonzero(row & ~diseased)))
+        for row in (table.label == 1, table.label == 0, table.is_kind(OutputKind.UNGRADABLE))
+    )
     return TriageConfusion(a=a, b=b, c=c, d=d, e=e, f=f)
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import math
 from dataclasses import dataclass
@@ -36,9 +37,9 @@ from .accuracy import (
 from .agreement import bland_altman, deming, variance_components
 from .dataset import (
     CANONICAL_COLUMNS,
-    Label,
     OutputKind,
-    ValidationRecord,
+    StudyTable,
+    first_row,
     ingest_csv,
     validate_records,
 )
@@ -280,13 +281,12 @@ class ValidationReport:
         return any("error" in block for block in self.results.values())
 
 
-def _header_columns(path: Path) -> list[str]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            return next(reader)
-        except StopIteration:
-            raise IngestError(f"{path} is empty") from None
+def _header_columns(text: str, path: Path) -> list[str]:
+    """The dataset's column names, stripped as ingest strips them."""
+    header = next(csv.reader(io.StringIO(text, newline="")), None)
+    if header is None:
+        raise IngestError(f"{path} is empty")
+    return [name.strip() for name in header]
 
 
 def _check_referenced_columns(plan: AnalysisPlan, header: list[str]) -> None:
@@ -339,15 +339,18 @@ def _ratio_dict(rc: RatioCI | None) -> dict[str, Any] | None:
     }
 
 
-def _posttest_or_zero(pretest: float, lr: float) -> float:
-    # An empty fn (or fp) cell gives LR = 0, and with it zero post-test odds.
+def _posttest(pretest: float, lr: float) -> float:
+    # An empty fn (or fp) cell gives LR = 0, and with it zero post-test odds;
+    # when both of its cells are empty the LR is 0/0 and the risk undefined.
+    if math.isnan(lr):
+        return math.nan
     return 0.0 if lr == 0 else posttest_risk(pretest, lr)
 
 
 def _run_accuracy(
-    records: list[ValidationRecord], params: dict, level: float, method: CIMethod
+    table: StudyTable, params: dict, level: float, method: CIMethod
 ) -> tuple[dict, dict]:
-    conf = confusion_from_records(records)
+    conf = confusion_from_records(table)
     metrics = accuracy_metrics(conf, level=level, method=method)
     lrs = likelihood_ratios(conf, level=level)
     block: dict[str, Any] = {
@@ -363,8 +366,8 @@ def _run_accuracy(
     if pretest is not None:
         block["posttest"] = {
             "pretest": pretest,
-            "after_positive": _posttest_or_zero(pretest, lrs["lr_pos"].estimate),
-            "after_negative": _posttest_or_zero(pretest, lrs["lr_neg"].estimate),
+            "after_positive": _posttest(pretest, lrs["lr_pos"].estimate),
+            "after_negative": _posttest(pretest, lrs["lr_neg"].estimate),
         }
     goal = params.get("goal")
     if goal is not None:
@@ -389,9 +392,9 @@ def _run_accuracy(
 
 
 def _run_qc(
-    records: list[ValidationRecord], params: dict, level: float, method: CIMethod
+    table: StudyTable, params: dict, level: float, method: CIMethod
 ) -> tuple[dict, dict]:
-    tri = triage_table(records)
+    tri = triage_table(table)
     rep = triage_report(tri, level=level, method=method)
     rows = []
     for row in rep.rows:
@@ -429,21 +432,19 @@ def _run_qc(
     return block, {}
 
 
-def _score_outcome_arrays(records: list[ValidationRecord]) -> tuple[list[float], list[bool]]:
-    scores, outcomes = [], []
-    for rec in records:
-        if rec.output.kind is not OutputKind.SCORE:
+def _score_outcome_arrays(table: StudyTable) -> tuple[np.ndarray, np.ndarray]:
+    not_score = ~table.is_kind(OutputKind.SCORE)
+    i = first_row(not_score | (table.truth == -1))
+    if i >= 0:
+        if not_score[i]:
             raise ValueError(
-                f"risk-score analysis needs Score outputs; subject {rec.subject_id!r} "
-                f"has {rec.output.kind.value!r}"
+                f"risk-score analysis needs Score outputs; subject {table.subject_id[i]!r} "
+                f"has {table.kind_at(i).value!r}"
             )
-        if rec.truth is None:
-            raise ValueError(f"subject {rec.subject_id!r} has no reference truth")
-        scores.append(float(rec.output.value))
-        outcomes.append(rec.truth is Label.POSITIVE)
-    if not scores:
+        raise ValueError(f"subject {table.subject_id[i]!r} has no reference truth")
+    if not len(table):
         raise ValueError("no records")
-    return scores, outcomes
+    return table.score, table.truth == 1
 
 
 def _calibration_dict(scores, outcomes, mode: CalibrationMode, n_bins: int) -> dict:
@@ -464,12 +465,15 @@ def _calibration_dict(scores, outcomes, mode: CalibrationMode, n_bins: int) -> d
 
 
 def _run_riskscore(
-    records: list[ValidationRecord], params: dict, level: float, method: CIMethod
+    table: StudyTable, params: dict, level: float, method: CIMethod
 ) -> tuple[dict, dict]:
-    scores, outcomes = _score_outcome_arrays(records)
+    scores, outcomes = _score_outcome_arrays(table)
     mode = CalibrationMode.INTERCEPT_ONLY if params.get("calibration") == "large" else CalibrationMode.INTERCEPT_AND_SLOPE
     n_bins = params.get("bins", 10)
-    block: dict[str, Any] = {"n": len(scores), "prevalence": sum(outcomes) / len(outcomes)}
+    block: dict[str, Any] = {
+        "n": len(scores),
+        "prevalence": int(np.count_nonzero(outcomes)) / len(outcomes),
+    }
     block["calibration"] = _calibration_dict(scores, outcomes, mode, n_bins)
 
     roc = roc_curve(scores, outcomes)
@@ -514,7 +518,7 @@ def _run_riskscore(
 
     if "train_prev" in params:
         train, target = params["train_prev"], params["target_prev"]
-        scaled = prevalence_scale(np.asarray(scores, dtype=float), train, target)
+        scaled = prevalence_scale(scores, train, target)
         # The cited methodology leaves the order of recalibration and scaling
         # open, so both orders are reported side by side.
         block["prevalence_scaling"] = {
@@ -554,17 +558,15 @@ def _run_riskscore(
 
 
 def _run_agreement(
-    records: list[ValidationRecord], params: dict, level: float, method: CIMethod
+    table: StudyTable, params: dict, level: float, method: CIMethod
 ) -> tuple[dict, dict]:
     x_col, y_col = params["x_col"], params["y_col"]
-    x, y = [], []
-    for rec in records:
-        if x_col not in rec.covariates or y_col not in rec.covariates:
-            raise ValueError(
-                f"subject {rec.subject_id!r} lacks a value for {x_col!r}/{y_col!r}"
-            )
-        x.append(rec.covariates[x_col])
-        y.append(rec.covariates[y_col])
+    x, y = table.covariate(x_col), table.covariate(y_col)
+    i = first_row(np.isnan(x) | np.isnan(y))
+    if i >= 0:
+        raise ValueError(
+            f"subject {table.subject_id[i]!r} lacks a value for {x_col!r}/{y_col!r}"
+        )
     ba = bland_altman(x, y, level=level)
     lam = params.get("lambda")
     fit = deming(x, y, lam=1.0 if lam is None else lam)
@@ -587,16 +589,16 @@ def _run_agreement(
             "n": fit.n,
         },
     }
-    pairs = [((xi + yi) / 2.0, xi - yi) for xi, yi in zip(x, y)]
+    pairs = list(zip(((x + y) / 2.0).tolist(), (x - y).tolist()))
     plots = {"bland_altman.csv": (("mean", "difference"), pairs)}
     return block, plots
 
 
 def _run_precision(
-    records: list[ValidationRecord], params: dict, level: float, method: CIMethod
+    table: StudyTable, params: dict, level: float, method: CIMethod
 ) -> tuple[dict, dict]:
     fields = tuple(params.get("condition_fields", ("operator_id", "device_unit_id")))
-    comp = variance_components(records, condition_fields=fields)
+    comp = variance_components(table, condition_fields=fields)
     block = {
         "condition_fields": list(fields),
         "grand_mean": comp.grand_mean,
@@ -613,12 +615,19 @@ def _run_precision(
     return block, {}
 
 
-def _group_value(rec: ValidationRecord, groups_by: str) -> str:
+def _groups(table: StudyTable, groups_by: str) -> dict[str, np.ndarray]:
+    """Row indices of each group, keyed by the group's name."""
     if groups_by in _RECORD_GROUP_FIELDS:
-        return str(getattr(rec, groups_by))
-    if groups_by in rec.covariates:
-        return repr(rec.covariates[groups_by])
-    raise ValueError(f"subject {rec.subject_id!r} has no {groups_by!r} value")
+        names = [str(v) for v in getattr(table, groups_by)]
+    else:
+        values = table.covariate(groups_by)
+        i = first_row(np.isnan(values))
+        if i >= 0:
+            raise ValueError(f"subject {table.subject_id[i]!r} has no {groups_by!r} value")
+        names = list(map(repr, values.tolist()))
+    codes: dict[str, int] = {}
+    row_codes = np.array([codes.setdefault(name, len(codes)) for name in names], dtype=np.intp)
+    return {name: np.flatnonzero(row_codes == code) for name, code in codes.items()}
 
 
 def _km_rows(group: str, curve) -> list[tuple]:
@@ -636,9 +645,9 @@ def _km_rows(group: str, curve) -> list[tuple]:
 
 
 def _run_survival(
-    records: list[ValidationRecord], params: dict, level: float, method: CIMethod
+    table: StudyTable, params: dict, level: float, method: CIMethod
 ) -> tuple[dict, dict, list[str]]:
-    times, events = survival_arrays(records)
+    times, events = survival_arrays(table)
     curve = km_estimate(times, events, level=level)
     block: dict[str, Any] = {
         "n": int(curve.n),
@@ -661,13 +670,11 @@ def _run_survival(
 
     groups_by = params.get("groups_by")
     if groups_by is not None:
-        grouped: dict[str, list[ValidationRecord]] = {}
-        for rec in records:
-            grouped.setdefault(_group_value(rec, groups_by), []).append(rec)
+        groups = _groups(table, groups_by)
         group_blocks = {}
         group_arrays = []
-        for name in sorted(grouped):
-            g_times, g_events = survival_arrays(grouped[name])
+        for name in sorted(groups):
+            g_times, g_events = times[groups[name]], events[groups[name]]
             g_curve = km_estimate(g_times, g_events, level=level)
             rows.extend(_km_rows(name, g_curve))
             group_arrays.append((g_times, g_events))
@@ -698,7 +705,7 @@ def _run_survival(
     baseline_names = params.get("baseline_covariates", [])
     added_names = params.get("added_covariates", [])
     if baseline_names or added_names:
-        base_x = covariate_matrix(records, baseline_names)
+        base_x = covariate_matrix(table, baseline_names)
         base_fit = cox_fit(base_x, times, events, names=baseline_names)
         cox_block: dict[str, Any] = {
             "baseline": {
@@ -716,7 +723,7 @@ def _run_survival(
             )
         if added_names:
             full_names = list(baseline_names) + list(added_names)
-            full_x = covariate_matrix(records, full_names)
+            full_x = covariate_matrix(table, full_names)
             full_fit = cox_fit(full_x, times, events, names=full_names)
             lrt = added_value_lrt(base_fit, full_fit, added_df=len(added_names))
             cox_block["full"] = {
@@ -744,28 +751,31 @@ def run_plan(plan: AnalysisPlan) -> ValidationReport:
     the other analyses; plan or ingestion problems raise instead, before any
     analysis runs.
     """
+    # One read: the fingerprint, the header check and the parse all see the
+    # same bytes.
     try:
         data_bytes = Path(plan.dataset).read_bytes()
     except FileNotFoundError:
         raise IngestError(f"dataset not found: {plan.dataset}") from None
-    header = _header_columns(plan.dataset)
-    _check_referenced_columns(plan, header)
-    result = ingest_csv(plan.dataset, mapping=plan.mapping or None)
+    text = data_bytes.decode("utf-8")
+    _check_referenced_columns(plan, _header_columns(text, plan.dataset))
+    result = ingest_csv(io.StringIO(text, newline=""), mapping=plan.mapping or None)
+    del text
     if result.errors:
         first = "; ".join(f"row {e.row}: {e.message}" for e in result.errors[:5])
         raise IngestError(f"{len(result.errors)} bad rows in {plan.dataset} ({first})")
-    records = list(result.records)
-    if not records:
+    table = result.table
+    if not len(table):
         raise IngestError(f"no data rows in {plan.dataset}")
 
     fingerprint = {
-        "rows": len(records),
+        "rows": len(table),
         "sha256": hashlib.sha256(data_bytes).hexdigest(),
     }
     warnings: list[str] = []
     for col in result.excluded_columns:
         warnings.append(f"ingest: column {col!r} excluded (non-numeric values)")
-    integrity = validate_records(records)
+    integrity = validate_records(table)
     warnings.extend(f"data: {w}" for w in integrity.warnings)
     if integrity.duplicate_keys:
         warnings.append(
@@ -787,10 +797,10 @@ def run_plan(plan: AnalysisPlan) -> ValidationReport:
         params = plan.params.get(name, {})
         try:
             if name == "survival":
-                block, p, extra = _run_survival(records, params, plan.level, plan.ci_method)
+                block, p, extra = _run_survival(table, params, plan.level, plan.ci_method)
                 warnings.extend(extra)
             else:
-                block, p = runners[name](records, params, plan.level, plan.ci_method)
+                block, p = runners[name](table, params, plan.level, plan.ci_method)
         except Exception as exc:
             block, p = {"error": f"{type(exc).__name__}: {exc}"}, {}
         results[name] = block

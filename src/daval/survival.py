@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy import stats
 
-from .dataset import ValidationRecord
+from .dataset import StudyTable, ValidationRecord, first_row
 
 __all__ = [
     "MonotoneLikelihoodError",
@@ -525,41 +525,45 @@ def predicted_risk_histograms(
 
 
 def survival_arrays(
-    records: Iterable[ValidationRecord],
+    records: StudyTable | Iterable[ValidationRecord],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Times and event indicators from records, one row per subject.
 
     Duplicate subject ids are rejected: repeated follow-up intervals describe
     recurrent-event data, which this model does not cover.
     """
-    seen: set[str] = set()
-    times, events = [], []
-    for rec in records:
-        if rec.survival is None:
-            raise ValueError(f"subject {rec.subject_id!r} has no follow-up data")
-        if rec.subject_id in seen:
-            raise ValueError(
-                f"duplicate subject {rec.subject_id!r}: recurrent-event data "
-                "is not supported"
-            )
-        seen.add(rec.subject_id)
-        times.append(rec.survival.time)
-        events.append(rec.survival.event)
-    if not times:
+    table = StudyTable.of(records)
+    missing = first_row(table.event == -1)
+    duplicate = -1
+    if len(set(table.subject_id)) < len(table):
+        seen: set[str] = set()
+        for duplicate, subject in enumerate(table.subject_id):
+            if subject in seen:
+                break
+            seen.add(subject)
+    if missing >= 0 and (duplicate < 0 or missing <= duplicate):
+        raise ValueError(f"subject {table.subject_id[missing]!r} has no follow-up data")
+    if duplicate >= 0:
+        raise ValueError(
+            f"duplicate subject {table.subject_id[duplicate]!r}: recurrent-event data "
+            "is not supported"
+        )
+    if not len(table):
         raise ValueError("no records")
-    return np.asarray(times, dtype=float), np.asarray(events, dtype=bool)
+    return np.array(table.time), table.event == 1
 
 
 def covariate_matrix(
-    records: Sequence[ValidationRecord], names: Sequence[str]
+    records: StudyTable | Sequence[ValidationRecord], names: Sequence[str]
 ) -> np.ndarray:
     """Covariate columns by name, erroring on any missing value."""
-    rows = []
-    for rec in records:
-        row = []
-        for name in names:
-            if name not in rec.covariates:
-                raise ValueError(f"subject {rec.subject_id!r} lacks covariate {name!r}")
-            row.append(float(rec.covariates[name]))
-        rows.append(row)
-    return np.asarray(rows, dtype=float).reshape(len(rows), len(names))
+    table = StudyTable.of(records)
+    matrix = np.empty((len(table), len(names)))
+    for j, name in enumerate(names):
+        matrix[:, j] = table.covariate(name)
+    missing = np.isnan(matrix)
+    i = first_row(missing.any(axis=1))
+    if i >= 0:
+        name = names[first_row(missing[i])]
+        raise ValueError(f"subject {table.subject_id[i]!r} lacks covariate {name!r}")
+    return matrix
