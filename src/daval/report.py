@@ -757,13 +757,24 @@ def run_plan(plan: AnalysisPlan) -> ValidationReport:
         data_bytes = Path(plan.dataset).read_bytes()
     except FileNotFoundError:
         raise IngestError(f"dataset not found: {plan.dataset}") from None
-    text = data_bytes.decode("utf-8")
+    try:
+        text = data_bytes.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise IngestError(
+            f"{plan.dataset} is not UTF-8 text: byte {exc.start} is 0x{data_bytes[exc.start]:02x}"
+        ) from None
     _check_referenced_columns(plan, _header_columns(text, plan.dataset))
     result = ingest_csv(io.StringIO(text, newline=""), mapping=plan.mapping or None)
     del text
     if result.errors:
         first = "; ".join(f"row {e.row}: {e.message}" for e in result.errors[:5])
         raise IngestError(f"{len(result.errors)} bad rows in {plan.dataset} ({first})")
+    groups_by = plan.params.get("survival", {}).get("groups_by")
+    if groups_by in result.excluded_columns:
+        raise PlanError(
+            f"survival.groups_by column {groups_by!r} was excluded by ingest as non-numeric; "
+            "grouping by a text column is not supported"
+        )
     table = result.table
     if not len(table):
         raise IngestError(f"no data rows in {plan.dataset}")

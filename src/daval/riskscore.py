@@ -54,8 +54,12 @@ __all__ = [
 ]
 
 SCORE_CLIP_EPS = 1e-6
-NEWTON_TOL = 1e-8
+# Newton decrement grad' hess^-1 grad / 2 at which the recalibration fit
+# stops: the predicted rise in log likelihood from one more step, whatever
+# the scale of the design columns (Boyd & Vandenberghe 2004, section 9.5).
+NEWTON_TOL = 1e-14
 NEWTON_MAX_ITER = 50
+NEWTON_LL_SLACK = 1e-12  # relative loss in log likelihood a Newton step may show
 SEPARATION_BOUND = 15.0
 SEPARATION_RESIDUAL_EPS = 1e-6
 
@@ -112,17 +116,19 @@ def _newton_logistic(
 ) -> tuple[np.ndarray, int, bool, float]:
     """Maximize the Bernoulli log-likelihood of y on ``design @ theta + offset``.
 
-    Newton iteration with step-halving on likelihood decrease; declares perfect
+    Newton iteration with step-halving on likelihood decrease, stopped when
+    the Newton decrement before a step is below NEWTON_TOL; declares perfect
     separation when a coefficient escapes past SEPARATION_BOUND while the
     likelihood is still climbing.
     """
     theta = theta0.astype(float).copy()
     eta = design @ theta + offset
     ll = _logistic_ll(eta, y)
+    last_decrement = math.inf
     for iteration in range(1, NEWTON_MAX_ITER + 1):
         mu = 1.0 / (1.0 + np.exp(-eta))
         grad = design.T @ (y - mu)
-        if np.max(np.abs(grad)) < NEWTON_TOL:
+        if not grad.any():
             return theta, iteration - 1, True, ll
         w = mu * (1.0 - mu)
         hess = design.T @ (design * w[:, None])
@@ -132,12 +138,22 @@ def _newton_logistic(
             raise PerfectSeparationError(
                 "singular information matrix during recalibration fit"
             ) from None
+        decrement = grad @ step / 2
+        # Stop once a further step would gain less than NEWTON_TOL, or once
+        # the gain is too small to change the log likelihood and has stopped
+        # falling: the gradient is then rounding noise.
+        if decrement < NEWTON_TOL or (ll + decrement == ll and decrement >= last_decrement):
+            return theta, iteration - 1, True, ll
+        last_decrement = decrement
+        # Rounding in the sum over subjects can make a good step read as a
+        # small loss; losses within the likelihood's relative rounding pass.
+        slack = NEWTON_LL_SLACK * max(1.0, abs(ll))
         scale = 1.0
         for _ in range(30):
             cand = theta + scale * step
             eta_cand = design @ cand + offset
             ll_cand = _logistic_ll(eta_cand, y)
-            if ll_cand >= ll - 1e-14:
+            if ll_cand >= ll - slack:
                 break
             scale *= 0.5
         theta, eta, ll = cand, eta_cand, ll_cand

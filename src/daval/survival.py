@@ -46,8 +46,13 @@ __all__ = [
     "covariate_matrix",
 ]
 
-COX_TOL = 1e-8
+# Newton decrement grad' info^-1 grad / 2 at which a Cox fit stops: the
+# predicted rise in log likelihood from one more step, which, unlike the
+# gradient, does not depend on the covariates' units (Boyd & Vandenberghe
+# 2004, Convex Optimization, section 9.5).
+COX_TOL = 1e-14
 COX_MAX_ITER = 100
+COX_LL_SLACK = 1e-12  # relative loss in log likelihood a Newton step may show
 COX_COEF_BOUND = 20.0
 _GAMMA_EPS = 1e-15
 _GAMMA_MAX_ITER = 10_000
@@ -254,6 +259,23 @@ def km_calibration_check(
     )
 
 
+def _loop_sums(terms: np.ndarray) -> np.ndarray:
+    """Running totals along axis 0 of ``total = 0.0; total += term``, bit for bit.
+
+    ``cumsum`` adds in the loop's order; its first total is the first term
+    itself, where the loop's is ``0.0 + term``, which turns -0.0 into 0.0.
+    """
+    terms = np.array(terms, dtype=float)
+    terms[:1] += 0.0
+    return np.cumsum(terms, axis=0, out=terms)
+
+
+def _loop_sum(terms: np.ndarray) -> np.ndarray:
+    """Final total of ``_loop_sums``: 0.0 for no terms."""
+    sums = _loop_sums(terms)
+    return sums[-1] if len(sums) else np.zeros(sums.shape[1:])
+
+
 @dataclass(frozen=True)
 class LogrankResult:
     statistic: float
@@ -303,17 +325,7 @@ def logrank(groups: Sequence[tuple[Sequence[float], Sequence[bool]]]) -> Logrank
             ev_sorted, all_event_times, side="right"
         ) - np.searchsorted(ev_sorted, all_event_times, side="left")
 
-    u = np.zeros(k - 1)
-    v = np.zeros((k - 1, k - 1))
-    for n_j, d_j in zip(n_table, d_table):
-        n_t = n_j.sum()
-        d_t = d_j.sum()
-        frac = n_j[: k - 1] / n_t
-        u += d_j[: k - 1] - d_t * frac
-        if n_t > 1:
-            scale = d_t * (n_t - d_t) / (n_t - 1)
-            v += scale * (np.diag(frac) - np.outer(frac, frac))
-
+    u, v = _logrank_score(n_table, d_table)
     try:
         stat = float(u @ np.linalg.solve(v, u))
     except np.linalg.LinAlgError:
@@ -330,6 +342,30 @@ def logrank(groups: Sequence[tuple[Sequence[float], Sequence[bool]]]) -> Logrank
     )
 
 
+def _logrank_score(n_table: np.ndarray, d_table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Observed-minus-expected events u and their covariance v, first k-1 groups.
+
+    Each event time adds d_j - d * n_j / n to u and, when more than one
+    subject is at risk, d (n - d) / (n - 1) * (diag(f) - f f') with f = n_j / n
+    to v. The terms are summed over event times in ascending order, as a loop
+    over the rows of the at-risk and event tables would add them.
+    """
+    k = n_table.shape[1]
+    n_t = n_table.sum(axis=1)
+    d_t = d_table.sum(axis=1)
+    frac = n_table[:, : k - 1] / n_t[:, None]
+    u = _loop_sum(d_table[:, : k - 1] - d_t[:, None] * frac)
+    keep = n_t > 1
+    n_t, d_t, frac = n_t[keep], d_t[keep], frac[keep]
+    scale = d_t * (n_t - d_t) / (n_t - 1)
+    v = np.zeros((k - 1, k - 1))
+    for a in range(k - 1):
+        for b in range(a, k - 1):
+            diag = frac[:, a] if a == b else 0.0
+            v[a, b] = v[b, a] = _loop_sum(scale * (diag - frac[:, a] * frac[:, b]))
+    return u, v
+
+
 @dataclass(frozen=True)
 class CoxFit:
     coefficients: dict[str, float]
@@ -343,41 +379,61 @@ class CoxFit:
     tie_fraction: float  # share of events tied with another event
 
 
+@dataclass(frozen=True)
+class _RiskSweep:
+    """The backward sweep over times sorted ascending, as index arrays.
+
+    The sweep adds tie blocks to the risk set from the latest time back, each
+    block in ascending index order, and scores a block's events, in the same
+    order, once the whole block is in.
+    """
+
+    order: np.ndarray  # subjects in the order the sweep adds them
+    event_pos: np.ndarray  # positions in `order` of the events, in scoring order
+    block_end: np.ndarray  # per event, position in `order` of its block's last subject
+
+
+def _risk_sweep(times: np.ndarray, events: np.ndarray) -> _RiskSweep:
+    order = np.argsort(-times, kind="stable")
+    t = times[order]
+    ends = np.flatnonzero(np.append(t[1:] != t[:-1], True))
+    event_pos = np.flatnonzero(events[order])
+    return _RiskSweep(
+        order=order,
+        event_pos=event_pos,
+        block_end=ends[np.searchsorted(ends, event_pos)],
+    )
+
+
 def _cox_ll_grad_hess(
-    beta: np.ndarray, x: np.ndarray, times: np.ndarray, events: np.ndarray
+    beta: np.ndarray, x: np.ndarray, sweep: _RiskSweep
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Breslow partial log-likelihood with gradient and information matrix.
 
-    One backward sweep over times accumulates the risk-set sums; tied events
-    share the full risk set at their common time.
+    ``x`` is sorted by ascending time, and ``sweep`` comes from those times.
+    The risk-set sums S0, S1 and S2 are running sums in the sweep's order,
+    read at each event's tie block end, so tied events share the full risk
+    set at their common time (Therneau & Grambsch 2000, section 3.3). Every
+    sum adds its terms in the order of the one-subject-at-a-time sweep, so
+    the results equal it bit for bit.
     """
-    n, p = x.shape
+    p = x.shape[1]
     eta = x @ beta
     # Guard exp against overflow while the bound check in the caller is pending.
-    w = np.exp(np.clip(eta, -700, 700))
-    ll = 0.0
+    w = np.exp(np.clip(eta, -700, 700))[sweep.order]
+    xs = x[sweep.order]
+    at, ev = sweep.block_end, sweep.event_pos
+    s0 = _loop_sums(w)[at]
+    log_s0 = np.fromiter(map(math.log, s0.tolist()), dtype=float, count=len(s0))
+    ll = float(_loop_sum(eta[sweep.order[ev]] - log_s0))
     grad = np.zeros(p)
     info = np.zeros((p, p))
-    w_sum = 0.0
-    wx_sum = np.zeros(p)
-    wxx_sum = np.zeros((p, p))
-    i = n - 1  # times are sorted ascending; sweep from the latest
-    while i >= 0:
-        t_i = times[i]
-        j = i
-        while j >= 0 and times[j] == t_i:
-            j -= 1
-        for idx in range(j + 1, i + 1):
-            w_sum += w[idx]
-            wx_sum += w[idx] * x[idx]
-            wxx_sum += w[idx] * np.outer(x[idx], x[idx])
-        for idx in range(j + 1, i + 1):
-            if events[idx]:
-                xbar = wx_sum / w_sum
-                ll += float(eta[idx]) - math.log(w_sum)
-                grad += x[idx] - xbar
-                info += wxx_sum / w_sum - np.outer(xbar, xbar)
-        i = j
+    xbar = [_loop_sums(w * xs[:, a])[at] / s0 for a in range(p)]
+    for a in range(p):
+        grad[a] = _loop_sum(xs[ev, a] - xbar[a])
+        for b in range(a, p):
+            s2 = _loop_sums(w * (xs[:, a] * xs[:, b]))[at]
+            info[a, b] = info[b, a] = _loop_sum(s2 / s0 - xbar[a] * xbar[b])
     return ll, grad, info
 
 
@@ -392,6 +448,8 @@ def cox_fit(
     Step-halving keeps the log partial likelihood nondecreasing; a coefficient
     escaping past COX_COEF_BOUND while the likelihood still climbs raises
     MonotoneLikelihoodError instead of returning a silently huge estimate.
+    The fit has converged when the Newton decrement before a step is below
+    COX_TOL, whatever the scale or centring of the covariates.
     """
     x = np.asarray(covariates, dtype=float)
     if x.ndim == 1:
@@ -403,6 +461,8 @@ def cox_fit(
         raise ValueError("covariates, times and events must agree in length")
     if np.any(np.isnan(x)):
         raise ValueError("missing covariate values")
+    if np.any(np.isnan(t)):
+        raise ValueError("times must not be NaN")
     n_events = int(e.sum())
     if n_events == 0:
         raise ValueError("no events: partial likelihood is empty")
@@ -414,13 +474,14 @@ def cox_fit(
 
     order = np.argsort(t, kind="stable")
     x, t, e = x[order], t[order], e[order]
+    sweep = _risk_sweep(t, e)
 
     event_times, counts = np.unique(t[e], return_counts=True)
     tied = int(counts[counts >= 2].sum())
     tie_fraction = tied / n_events
 
     beta = np.zeros(p)
-    ll, grad, info = _cox_ll_grad_hess(beta, x, t, e)
+    ll, grad, info = _cox_ll_grad_hess(beta, x, sweep)
     ll_null = ll
     if p == 0:
         return CoxFit(
@@ -436,8 +497,9 @@ def cox_fit(
         )
     converged = False
     iterations = 0
+    last_decrement = math.inf
     for iteration in range(1, COX_MAX_ITER + 1):
-        if np.max(np.abs(grad)) < COX_TOL:
+        if not grad.any():  # exactly flat, as for an all-zero covariate: nothing to solve
             converged = True
             iterations = iteration - 1
             break
@@ -447,11 +509,23 @@ def cox_fit(
             raise MonotoneLikelihoodError(
                 "singular information matrix in Cox fit (flat likelihood direction)"
             ) from None
+        decrement = grad @ step / 2
+        # Stop once a further step would gain less than COX_TOL, or once the
+        # gain is too small to change the log likelihood and has stopped
+        # falling: the gradient is then rounding noise.
+        if decrement < COX_TOL or (ll + decrement == ll and decrement >= last_decrement):
+            converged = True
+            iterations = iteration - 1
+            break
+        last_decrement = decrement
+        # Rounding in the sums over subjects can make a good step read as a
+        # small loss; losses within the likelihood's relative rounding pass.
+        slack = COX_LL_SLACK * max(1.0, abs(ll))
         scale = 1.0
         for _ in range(40):
             cand = beta + scale * step
-            ll_cand, grad_cand, info_cand = _cox_ll_grad_hess(cand, x, t, e)
-            if ll_cand >= ll - 1e-12:
+            ll_cand, grad_cand, info_cand = _cox_ll_grad_hess(cand, x, sweep)
+            if ll_cand >= ll - slack:
                 break
             scale *= 0.5
         beta, ll, grad, info = cand, ll_cand, grad_cand, info_cand
@@ -463,8 +537,6 @@ def cox_fit(
             )
     else:
         iterations = COX_MAX_ITER
-    if not converged and np.max(np.abs(grad)) < COX_TOL:
-        converged = True
 
     return CoxFit(
         coefficients={name: float(b) for name, b in zip(names, beta)},

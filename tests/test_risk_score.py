@@ -8,6 +8,7 @@ import pytest
 
 from daval.accuracy import likelihood_ratios
 from daval.accuracy import Confusion2x2
+from daval import riskscore
 from daval.riskscore import (
     CalibrationMode,
     PerfectSeparationError,
@@ -369,3 +370,32 @@ def test_risk_strata_validates_cutoffs():
         risk_strata_analysis([0.5], [True], [0.7, 0.3])
     with pytest.raises(ValueError):
         risk_strata_analysis([0.5], [True], [0.0])
+
+
+def test_recalibration_on_100000_quantised_scores_converges():
+    # 100,000 scores at 25% prevalence, rounded to 3 or 4 decimals: an
+    # absolute gradient tolerance sits below the rounding in a sum this long,
+    # and on this draw the intercept-only fit ran out its 50 iterations.
+    rng = np.random.default_rng([104, 2])
+    n = 100_000
+    outcomes = rng.random(n) < 0.25
+    latent = rng.normal(0.0, 1.0, n) + math.sqrt(2.0) * 0.77 * outcomes - 1.3
+    raw = np.clip(1.0 / (1.0 + np.exp(-latent)), 0.001, 0.999)
+    scores = np.where(rng.random(n) < 0.5, np.round(raw, 4), np.round(raw, 3))
+    for mode in CalibrationMode:
+        res = fit_recalibration(scores, outcomes, mode=mode)
+        assert res.converged
+        assert res.iterations < 10
+
+
+def test_recalibration_stops_when_the_decrement_reaches_its_rounding_floor(monkeypatch):
+    # With the tolerance at 0 only the rounding floor can stop the fit: a
+    # gain the log likelihood cannot register that has stopped falling.
+    monkeypatch.setattr(riskscore, "NEWTON_TOL", 0.0)
+    rng = SeededGenerator(215).generator()
+    scores = rng.uniform(0.02, 0.98, size=5000)
+    outcomes = rng.random(5000) < scores
+    for mode in CalibrationMode:
+        res = fit_recalibration(scores, outcomes, mode=mode)
+        assert res.converged
+        assert res.iterations < 10

@@ -12,7 +12,8 @@ from pathlib import Path
 import pytest
 
 from daval import dataset
-from daval.report import load_plan, plan_from_dict, report_to_dict, run_plan
+from daval.cli import main as cli_main
+from daval.report import PlanError, load_plan, plan_from_dict, report_to_dict, run_plan
 
 DEMO = Path(__file__).resolve().parent.parent / "demo"
 
@@ -206,3 +207,27 @@ def test_pretest_with_undefined_likelihood_ratio_reports_nan(tmp_path):
     assert block["posttest"]["after_positive"] == pytest.approx(0.3)
     assert "goal_tests" in block
     assert report_to_dict(report)["results"]["accuracy"]["posttest"]["after_negative"] == "nan"
+
+
+def test_non_utf8_dataset_exits_one_naming_file_and_byte(tmp_path, capsys):
+    data = tmp_path / "latin1.csv"
+    data.write_bytes(
+        "subject_id,site_id,truth,output\ns1,Zürich,pos,pos\ns2,a,neg,neg\n".encode("latin-1")
+    )
+    plan = tmp_path / "plan.json"
+    plan.write_text(f'{{"dataset": "{data.name}", "analyses": ["qc"]}}', encoding="utf-8")
+    assert cli_main(["run", "--plan", str(plan), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "latin1.csv is not UTF-8 text: byte 36 is 0xfc" in err
+    assert "Traceback" not in err
+
+
+def test_survival_groups_by_text_column_fails_before_any_analysis(tmp_path):
+    data = _write(
+        tmp_path / "d.csv",
+        "subject_id,output,time,event,arm",
+        ["s1,pos,1.0,1,A", "s2,neg,2.0,0,B", "s3,neg,3.0,1,A"],
+    )
+    with pytest.raises(PlanError, match=r"survival.groups_by column 'arm' was excluded by "
+                       r"ingest as non-numeric"):
+        _run(data, ["qc", "survival"], survival={"groups_by": "arm"})
