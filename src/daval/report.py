@@ -55,6 +55,7 @@ from .riskscore import (
     threshold_grid,
 )
 from .survival import (
+    KMCurve,
     added_value_lrt,
     covariate_matrix,
     cox_fit,
@@ -264,6 +265,10 @@ def load_plan(path: str | Path) -> AnalysisPlan:
     return plan_from_dict(raw, base_dir=p.parent)
 
 
+# A plot CSV column: a 1-d float or int array, or a list of text fields.
+PlotColumn = np.ndarray | list[str]
+
+
 @dataclass
 class ValidationReport:
     plan_hash: str
@@ -274,7 +279,7 @@ class ValidationReport:
     seed: int | None
     results: dict[str, dict[str, Any]]
     warnings: list[str]
-    plots: dict[str, tuple[tuple[str, ...], list[tuple]]]
+    plots: dict[str, tuple[tuple[str, ...], list[PlotColumn]]]
 
     @property
     def has_failures(self) -> bool:
@@ -311,6 +316,22 @@ def _check_referenced_columns(plan: AnalysisPlan, header: list[str]) -> None:
     for f in pr.get("condition_fields", []):
         if f not in _RECORD_GROUP_FIELDS and f != "replicate_index":
             raise PlanError(f"precision condition field {f!r} is not a record field")
+
+
+def _check_numeric_columns(plan: AnalysisPlan, excluded: tuple[str, ...]) -> None:
+    """Refuse a plan that names, where it needs numbers, a column ingest excluded as text."""
+    ag = plan.params.get("agreement", {})
+    sv = plan.params.get("survival", {})
+    named = [(f"agreement.{key}", ag.get(key)) for key in ("x_col", "y_col")]
+    for key in ("baseline_covariates", "added_covariates"):
+        named.extend((f"survival.{key}", col) for col in sv.get(key, []))
+    named.append(("survival.groups_by", sv.get("groups_by")))
+    for key, col in named:
+        if col in excluded:
+            raise PlanError(
+                f"{key} column {col!r} was excluded by ingest as non-numeric; "
+                f"{key} needs a numeric column"
+            )
 
 
 def _ci_dict(ci: ProportionCI | None) -> dict[str, Any] | None:
@@ -529,29 +550,20 @@ def _run_riskscore(
             "auc_after_scaling": roc_curve(scaled, outcomes).auc,
         }
 
+    bins = block["calibration"]["bins"]
     plots = {
-        "roc.csv": (
-            ("threshold", "fpr", "tpr"),
-            [(t, f, r) for t, r, f in zip(roc.thresholds.tolist(), roc.tpr.tolist(), roc.fpr.tolist())],
-        ),
+        "roc.csv": (("threshold", "fpr", "tpr"), [roc.thresholds, roc.fpr, roc.tpr]),
         "calibration.csv": (
             ("mean_pred", "obs_rate", "n"),
             [
-                (b["mean_predicted"], b["observed_rate"], b["n"])
-                for b in block["calibration"]["bins"]
+                np.array([b["mean_predicted"] for b in bins], dtype=float),
+                np.array([b["observed_rate"] for b in bins], dtype=float),
+                np.array([b["n"] for b in bins], dtype=np.int64),
             ],
         ),
         "dca.csv": (
             ("t", "nb_model", "nb_all", "nb_none", "snb"),
-            list(
-                zip(
-                    dca.thresholds.tolist(),
-                    dca.nb_model.tolist(),
-                    dca.nb_all.tolist(),
-                    dca.nb_none.tolist(),
-                    dca.snb_model.tolist(),
-                )
-            ),
+            [dca.thresholds, dca.nb_model, dca.nb_all, dca.nb_none, dca.snb_model],
         ),
     }
     return block, plots
@@ -589,8 +601,7 @@ def _run_agreement(
             "n": fit.n,
         },
     }
-    pairs = list(zip(((x + y) / 2.0).tolist(), (x - y).tolist()))
-    plots = {"bland_altman.csv": (("mean", "difference"), pairs)}
+    plots = {"bland_altman.csv": (("mean", "difference"), [(x + y) / 2.0, x - y])}
     return block, plots
 
 
@@ -630,18 +641,15 @@ def _groups(table: StudyTable, groups_by: str) -> dict[str, np.ndarray]:
     return {name: np.flatnonzero(row_codes == code) for name, code in codes.items()}
 
 
-def _km_rows(group: str, curve) -> list[tuple]:
-    return [
-        (
-            group,
-            float(curve.times[i]),
-            float(curve.survival[i]),
-            float(curve.lower[i]),
-            float(curve.upper[i]),
-            int(curve.at_risk[i]),
-        )
-        for i in range(len(curve.times))
-    ]
+def _km_columns(named_curves: list[tuple[str, KMCurve]]) -> list[PlotColumn]:
+    """The km.csv columns: each curve's rows in turn, led by its group name."""
+    groups: list[str] = []
+    for name, curve in named_curves:
+        groups += [name] * len(curve.times)
+    columns: list[PlotColumn] = [groups]
+    for field in ("times", "survival", "lower", "upper", "at_risk"):
+        columns.append(np.concatenate([getattr(curve, field) for _, curve in named_curves]))
+    return columns
 
 
 def _run_survival(
@@ -655,7 +663,7 @@ def _run_survival(
         "max_followup": curve.max_followup,
     }
     warnings: list[str] = []
-    rows = _km_rows("all", curve)
+    curves = [("all", curve)]
 
     horizon = params.get("horizon")
     if horizon is not None:
@@ -676,7 +684,7 @@ def _run_survival(
         for name in sorted(groups):
             g_times, g_events = times[groups[name]], events[groups[name]]
             g_curve = km_estimate(g_times, g_events, level=level)
-            rows.extend(_km_rows(name, g_curve))
+            curves.append((name, g_curve))
             group_arrays.append((g_times, g_events))
             entry: dict[str, Any] = {
                 "n": int(g_curve.n),
@@ -740,7 +748,9 @@ def _run_survival(
             }
         block["cox"] = cox_block
 
-    plots = {"km.csv": (("group", "time", "survival", "lower", "upper", "at_risk"), rows)}
+    plots = {
+        "km.csv": (("group", "time", "survival", "lower", "upper", "at_risk"), _km_columns(curves))
+    }
     return block, plots, warnings
 
 
@@ -769,12 +779,7 @@ def run_plan(plan: AnalysisPlan) -> ValidationReport:
     if result.errors:
         first = "; ".join(f"row {e.row}: {e.message}" for e in result.errors[:5])
         raise IngestError(f"{len(result.errors)} bad rows in {plan.dataset} ({first})")
-    groups_by = plan.params.get("survival", {}).get("groups_by")
-    if groups_by in result.excluded_columns:
-        raise PlanError(
-            f"survival.groups_by column {groups_by!r} was excluded by ingest as non-numeric; "
-            "grouping by a text column is not supported"
-        )
+    _check_numeric_columns(plan, result.excluded_columns)
     table = result.table
     if not len(table):
         raise IngestError(f"no data rows in {plan.dataset}")
@@ -801,7 +806,7 @@ def run_plan(plan: AnalysisPlan) -> ValidationReport:
         "precision": _run_precision,
     }
     results: dict[str, dict] = {}
-    plots: dict[str, tuple[tuple[str, ...], list[tuple]]] = {}
+    plots: dict[str, tuple[tuple[str, ...], list[PlotColumn]]] = {}
     for name in ANALYSES:
         if name not in plan.analyses:
             continue
@@ -1115,10 +1120,39 @@ def render_markdown(report: ValidationReport) -> str:
     return "\n".join(lines)
 
 
-def _csv_cell(value: Any) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _csv_row(fields: Iterable[str]) -> str:
+    """One row as `csv.writer` writes it, line end included."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(fields)
+    return buf.getvalue()
+
+
+def _csv_column(column: PlotColumn) -> list[str]:
+    """One plot column as CSV fields.
+
+    An array's values are written as their Python `repr`: the shortest text
+    that reads back to the same float, and an integer's digits.
+    """
+    if isinstance(column, np.ndarray):
+        return list(map(repr, column.tolist()))
+    # Each distinct text quoted once, as one field of a row of several.
+    fields = {text: _csv_row((text, ""))[:-2] for text in set(column)}
+    return list(map(fields.__getitem__, column))
+
+
+def _csv_text(header: tuple[str, ...], columns: list[PlotColumn]) -> str:
+    cells = [_csv_column(column) for column in columns]
+    if len(cells) == 1:
+        # csv.writer writes a row made of one empty field as `""`.
+        cells[0] = [cell or '""' for cell in cells[0]]
+    # Fields in the even slots, separators in the odd ones: one join makes the
+    # body. A column of another length fails the slice assignment.
+    k, rows = len(cells), len(cells[0])
+    body = [","] * (2 * k * rows)
+    for j, column in enumerate(cells):
+        body[2 * j :: 2 * k] = column
+    body[2 * k - 1 :: 2 * k] = ["\n"] * rows
+    return _csv_row(header) + "".join(body)
 
 
 def emit_report(
@@ -1142,12 +1176,8 @@ def emit_report(
         md_path = out / "report.md"
         md_path.write_text(render_markdown(report), encoding="utf-8", newline="\n")
         written.append(md_path)
-    for filename, (header, rows) in sorted(report.plots.items()):
+    for filename, (header, columns) in sorted(report.plots.items()):
         plot_path = out / filename
-        with open(plot_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([_csv_cell(v) for v in row])
+        plot_path.write_text(_csv_text(header, columns), encoding="utf-8", newline="")
         written.append(plot_path)
     return written

@@ -16,7 +16,7 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDENS = Path(__file__).resolve().parent / "goldens"
 
 
-@pytest.mark.parametrize("plan", ["plan", "plan_scores"])
+@pytest.mark.parametrize("plan", ["plan", "plan_scores", "plan_agreement"])
 def test_demo_plan_matches_golden_bytes(tmp_path, plan, capsys):
     out = tmp_path / plan
     rc = cli_main([

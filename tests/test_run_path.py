@@ -6,6 +6,7 @@ the per-analysis error strings to the wording of the record-based runners,
 and cover plan-level behaviour that depends on reading the dataset once.
 """
 
+import json
 import math
 from pathlib import Path
 
@@ -231,3 +232,36 @@ def test_survival_groups_by_text_column_fails_before_any_analysis(tmp_path):
     with pytest.raises(PlanError, match=r"survival.groups_by column 'arm' was excluded by "
                        r"ingest as non-numeric"):
         _run(data, ["qc", "survival"], survival={"groups_by": "arm"})
+
+
+@pytest.mark.parametrize(
+    "analysis, params, key",
+    [
+        ("agreement", {"x_col": "arm", "y_col": "age"}, "agreement.x_col"),
+        ("agreement", {"x_col": "age", "y_col": "arm"}, "agreement.y_col"),
+        ("survival", {"baseline_covariates": ["age", "arm"]}, "survival.baseline_covariates"),
+        (
+            "survival",
+            {"baseline_covariates": ["age"], "added_covariates": ["arm"]},
+            "survival.added_covariates",
+        ),
+        ("survival", {"groups_by": "arm"}, "survival.groups_by"),
+    ],
+)
+def test_text_column_where_numbers_are_needed_exits_one(tmp_path, capsys, analysis, params, key):
+    data = _write(
+        tmp_path / "d.csv",
+        "subject_id,output,time,event,age,arm",
+        ["s1,pos,1.0,1,50,A", "s2,neg,2.0,0,60,B", "s3,neg,3.0,1,70,A"],
+    )
+    with pytest.raises(PlanError, match=rf"^{key} column 'arm' was excluded by ingest as non-numeric"):
+        _run(data, ["qc", analysis], **{analysis: params})
+    plan = tmp_path / "plan.json"
+    plan.write_text(
+        json.dumps({"dataset": data.name, "analyses": [analysis], "params": {analysis: params}}),
+        encoding="utf-8",
+    )
+    assert cli_main(["run", "--plan", str(plan), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {key} column 'arm' was excluded" in err
+    assert not (tmp_path / "out").exists()
