@@ -45,6 +45,7 @@ from .dataset import (
 )
 from .qc import triage_report, triage_table
 from .riskscore import (
+    DEFAULT_DCA_GRID,
     CalibrationMode,
     auc_ci,
     decision_curve,
@@ -52,6 +53,7 @@ from .riskscore import (
     prevalence_scale,
     risk_strata_analysis,
     roc_curve,
+    sort_scores,
     threshold_grid,
 )
 from .survival import (
@@ -468,8 +470,8 @@ def _score_outcome_arrays(table: StudyTable) -> tuple[np.ndarray, np.ndarray]:
     return table.score, table.truth == 1
 
 
-def _calibration_dict(scores, outcomes, mode: CalibrationMode, n_bins: int) -> dict:
-    fit = fit_recalibration(scores, outcomes, mode=mode, n_bins=n_bins)
+def _calibration_dict(scores, outcomes, view, mode: CalibrationMode, n_bins: int) -> dict:
+    fit = fit_recalibration(scores, outcomes, mode=mode, n_bins=n_bins, view=view)
     return {
         "mode": fit.constrained.value,
         "intercept": fit.intercept,
@@ -495,9 +497,10 @@ def _run_riskscore(
         "n": len(scores),
         "prevalence": int(np.count_nonzero(outcomes)) / len(outcomes),
     }
-    block["calibration"] = _calibration_dict(scores, outcomes, mode, n_bins)
+    view = sort_scores(scores, outcomes)
+    block["calibration"] = _calibration_dict(scores, outcomes, view, mode, n_bins)
 
-    roc = roc_curve(scores, outcomes)
+    roc = roc_curve(scores, outcomes, view=view)
     auc_block: dict[str, Any] = {
         "auc": roc.auc,
         "auc_se": roc.auc_se,
@@ -516,15 +519,14 @@ def _run_riskscore(
             "sensitivity": _ci_dict(tm.sensitivity),
             "specificity": _ci_dict(tm.specificity),
         }
-        for tm in threshold_grid(scores, outcomes, thresholds, level=level, method=method)
+        for tm in threshold_grid(scores, outcomes, thresholds, level=level, method=method, view=view)
     ]
 
-    dca_grid = params.get("dca_grid")
-    dca = decision_curve(scores, outcomes, dca_grid) if dca_grid else decision_curve(scores, outcomes)
+    dca = decision_curve(scores, outcomes, params.get("dca_grid") or DEFAULT_DCA_GRID, view=view)
     block["decision_curve"] = {"n_thresholds": len(dca.thresholds), "prevalence": dca.prevalence}
 
     if "cutoffs" in params:
-        strata = risk_strata_analysis(scores, outcomes, params["cutoffs"], level=level, method=method)
+        strata = risk_strata_analysis(scores, outcomes, params["cutoffs"], level=level, method=method, view=view)
         block["risk_strata"] = [
             {
                 "lower": st.lower,
@@ -540,14 +542,15 @@ def _run_riskscore(
     if "train_prev" in params:
         train, target = params["train_prev"], params["target_prev"]
         scaled = prevalence_scale(scores, train, target)
+        scaled_view = sort_scores(scaled, outcomes)
         # The cited methodology leaves the order of recalibration and scaling
         # open, so both orders are reported side by side.
         block["prevalence_scaling"] = {
             "train_prev": train,
             "target_prev": target,
             "calibration_before_scaling": block["calibration"],
-            "calibration_after_scaling": _calibration_dict(scaled, outcomes, mode, n_bins),
-            "auc_after_scaling": roc_curve(scaled, outcomes).auc,
+            "calibration_after_scaling": _calibration_dict(scaled, outcomes, scaled_view, mode, n_bins),
+            "auc_after_scaling": roc_curve(scaled, outcomes, view=scaled_view).auc,
         }
 
     bins = block["calibration"]["bins"]

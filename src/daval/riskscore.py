@@ -6,7 +6,8 @@ check), quantile-binned calibration plot data, and Bayes prevalence scaling.
 Discrimination: empirical ROC curve, Mann-Whitney AUC with the midrank tie
 convention, and the DeLong structural-component variance. Clinical utility:
 decision curves (net benefit and standardized net benefit) and risk-stratum
-post-test risks with diagnostic likelihood ratios.
+post-test risks with diagnostic likelihood ratios. The kernels read one
+stable sort of the scores (`sort_scores`), which a caller may share as ``view``.
 """
 
 from __future__ import annotations
@@ -22,10 +23,8 @@ from scipy import stats
 
 from .accuracy import (
     CIMethod,
-    Confusion2x2,
     ProportionCI,
     RatioCI,
-    accuracy_metrics,
     proportion_ci,
     ratio_ci_log_method,
 )
@@ -170,6 +169,7 @@ def fit_recalibration(
     outcomes: Sequence[bool],
     mode: CalibrationMode = CalibrationMode.INTERCEPT_AND_SLOPE,
     n_bins: int = 10,
+    *, view: SortedScores | None = None,
 ) -> CalibrationResult:
     """Logistic recalibration of outcomes on logit(score).
 
@@ -181,6 +181,8 @@ def fit_recalibration(
     y = np.asarray(outcomes, dtype=float)
     if s.shape != y.shape or s.ndim != 1 or len(s) == 0:
         raise ValueError("scores and outcomes must be equal-length 1-d sequences")
+    if np.isnan(s).any():
+        raise ValueError("scores must not be NaN")
     if np.any((s < 0.0) | (s > 1.0)):
         raise ValueError("scores must lie in [0, 1]")
     if np.all(y == y[0]):
@@ -209,7 +211,7 @@ def fit_recalibration(
                 "every outcome is fitted exactly; the outcomes are separated on the score"
             )
 
-    bins = calibration_plot(scores, outcomes, n_bins=min(n_bins, len(s)))
+    bins = calibration_plot(scores, outcomes, n_bins=min(n_bins, len(s)), view=view)
     return CalibrationResult(
         intercept=intercept,
         slope=slope,
@@ -222,33 +224,65 @@ def fit_recalibration(
     )
 
 
+@dataclass(frozen=True)
+class SortedScores:
+    """One stable ascending sort of a score vector, as the kernels read it.
+    Tied scores keep their input order: a tie block's last position holds
+    the tied subject with the highest input index."""
+
+    order: np.ndarray  # stable ascending argsort of the scores
+    s: np.ndarray  # scores in that order
+    y: np.ndarray  # outcomes (bool) in that order
+    first: np.ndarray  # first sorted position of each tie block
+    last: np.ndarray  # last sorted position of each tie block
+    cum_pos: np.ndarray  # cum_pos[i]: positives among the first i sorted subjects
+
+
+def sort_scores(scores: Sequence[float], outcomes: Sequence[bool]) -> SortedScores:
+    """Sort scores once for the kernels; NaN scores are refused."""
+    s = np.asarray(scores, dtype=float)
+    y = np.asarray(outcomes, dtype=bool)
+    if s.shape != y.shape or s.ndim != 1:
+        raise ValueError("scores and outcomes must be equal-length 1-d sequences")
+    if np.isnan(s).any():
+        raise ValueError("scores must not be NaN")
+    order = np.argsort(s, kind="stable")
+    s_sorted, y_sorted = s[order], y[order]
+    steps = s_sorted[1:] != s_sorted[:-1]
+    return SortedScores(
+        order=order,
+        s=s_sorted,
+        y=y_sorted,
+        first=np.flatnonzero(np.r_[len(s) > 0, steps]),
+        last=np.flatnonzero(np.r_[steps, len(s) > 0]),
+        cum_pos=np.concatenate(([0], np.cumsum(y_sorted))),
+    )
+
+
 def calibration_plot(
-    scores: Sequence[float], outcomes: Sequence[bool], n_bins: int = 10
+    scores: Sequence[float], outcomes: Sequence[bool], n_bins: int = 10, *, view: SortedScores | None = None
 ) -> tuple[CalibrationBin, ...]:
     """Equal-count (quantile) bins of mean predicted risk vs observed event rate.
 
     Records tied on score keep their input order, so bin membership is
     deterministic.
     """
-    s = np.asarray(scores, dtype=float)
-    y = np.asarray(outcomes, dtype=float)
-    if len(s) == 0:
+    v = view if view is not None else sort_scores(scores, outcomes)
+    n = len(v.s)
+    if n == 0:
         raise ValueError("empty dataset")
     if n_bins < 2:
         raise ValueError("n_bins must be >= 2")
-    if n_bins > len(s):
-        raise ValueError(f"n_bins={n_bins} exceeds dataset size {len(s)}")
-    order = np.argsort(s, kind="stable")
-    bins = []
-    for chunk in np.array_split(order, n_bins):
-        bins.append(
-            CalibrationBin(
-                mean_predicted=float(np.mean(s[chunk])),
-                observed_rate=float(np.mean(y[chunk])),
-                n=len(chunk),
-            )
+    if n_bins > n:
+        raise ValueError(f"n_bins={n_bins} exceeds dataset size {n}")
+    return tuple(
+        CalibrationBin(
+            mean_predicted=float(np.mean(s_chunk)),
+            observed_rate=float(np.mean(y_chunk)),
+            n=len(s_chunk),
         )
-    return tuple(bins)
+        for s_chunk, y_chunk in zip(np.array_split(v.s, n_bins), np.array_split(v.y, n_bins))
+    )
 
 
 def _check_open_unit(value, name: str) -> None:
@@ -280,17 +314,6 @@ def predictiveness_curve(scores: Sequence[float]) -> list[tuple[float, float]]:
     return [((i + 1) / n, float(s[i])) for i in range(n)]
 
 
-def _midrank(x: np.ndarray) -> np.ndarray:
-    order = np.argsort(x, kind="mergesort")
-    ranks = np.empty(len(x), dtype=float)
-    ranks[order] = np.arange(1, len(x) + 1)
-    _, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
-    # Average the ranks within each tie group.
-    sums = np.zeros(len(counts))
-    np.add.at(sums, inverse, ranks)
-    return sums[inverse] / counts[inverse]
-
-
 @dataclass(frozen=True)
 class RocCurve:
     thresholds: np.ndarray  # descending, starts at +inf for the (0, 0) anchor
@@ -311,39 +334,50 @@ class RocCurve:
         return float(np.sum(widths * heights))
 
 
-def roc_curve(scores: Sequence[float], outcomes: Sequence[bool]) -> RocCurve:
+def roc_curve(
+    scores: Sequence[float], outcomes: Sequence[bool], *, view: SortedScores | None = None
+) -> RocCurve:
     """Empirical ROC over all distinct thresholds (rule: score >= t is positive).
 
     AUC is the Mann-Whitney statistic with half credit for ties, which equals
     the trapezoidal area under the empirical curve; its standard error comes
     from the DeLong structural components.
     """
-    s = np.asarray(scores, dtype=float)
-    y = np.asarray(outcomes, dtype=bool)
-    if s.shape != y.shape or s.ndim != 1:
-        raise ValueError("scores and outcomes must be equal-length 1-d sequences")
-    n_pos = int(y.sum())
-    n_neg = len(y) - n_pos
+    v = view if view is not None else sort_scores(scores, outcomes)
+    n = len(v.s)
+    n_pos = int(v.cum_pos[-1])
+    n_neg = n - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("ROC needs at least one positive and one negative case")
 
-    order = np.argsort(-s, kind="mergesort")
-    s_sorted, y_sorted = s[order], y[order]
-    distinct = np.r_[np.diff(s_sorted) != 0, True]  # last index of each tie block
-    cum_tp = np.cumsum(y_sorted)[distinct]
-    cum_fp = np.cumsum(~y_sorted)[distinct]
-    thresholds = np.r_[np.inf, s_sorted[distinct]]
-    tpr = np.r_[0.0, cum_tp / n_pos]
-    fpr = np.r_[0.0, cum_fp / n_neg]
+    first, last = v.first, v.last
+    pos_below = v.cum_pos[first]
+    pos_tied = v.cum_pos[last + 1] - pos_below
+    neg_below = first - pos_below
+    neg_tied = last + 1 - first - pos_tied
+    # Thresholds descend through the tie blocks, each shown by its last
+    # subject in input order (this keeps the sign of a -0.0/0.0 block).
+    thresholds = np.r_[np.inf, v.s[last[::-1]]]
+    tpr = np.r_[0.0, (n_pos - pos_below[::-1]) / n_pos]
+    fpr = np.r_[0.0, (n_neg - neg_below[::-1]) / n_neg]
 
     # Mann-Whitney AUC and DeLong components via the midrank identity:
     # sum_j psi(x_i, y_j) = (combined midrank of x_i) - (within-class midrank).
-    r_all = _midrank(s)
-    r_pos = _midrank(s[y])
-    r_neg = _midrank(s[~y])
-    auc = (float(np.sum(r_all[y])) - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
-    v10 = (r_all[y] - r_pos) / n_neg
-    v01 = 1.0 - (r_all[~y] - r_neg) / n_pos
+    # A block at sorted positions first..last has combined midrank
+    # (first + last + 2) / 2; the difference is the other class below it plus
+    # half of that class in it, an exact half-integer (Sun & Xu 2014).
+    midrank = (first + last + 2) / 2
+    auc = (float(np.sum(pos_tied * midrank)) - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    counts = last + 1 - first
+    components = np.where(
+        v.y,
+        np.repeat((neg_below + neg_tied / 2) / n_neg, counts),
+        np.repeat(1.0 - (pos_below + pos_tied / 2) / n_pos, counts),
+    )
+    by_subject = np.empty(n)
+    by_subject[v.order] = components  # v10 of each positive, v01 of each negative
+    y = np.asarray(outcomes, dtype=bool)
+    v10, v01 = by_subject[y], by_subject[~y]
     if n_pos >= 2 and n_neg >= 2:
         var = float(np.var(v10, ddof=1)) / n_pos + float(np.var(v01, ddof=1)) / n_neg
         auc_se = math.sqrt(max(var, 0.0))
@@ -383,27 +417,26 @@ def threshold_grid(
     thresholds: Sequence[float],
     level: float = 0.95,
     method: CIMethod = CIMethod.CLOPPER_PEARSON,
+    *, view: SortedScores | None = None,
 ) -> list[ThresholdMetrics]:
     """Sensitivity/specificity with CIs at each clinically relevant threshold."""
     if len(thresholds) == 0:
         raise ValueError("empty threshold list")
-    s = np.asarray(scores, dtype=float)
-    y = np.asarray(outcomes, dtype=bool)
-    out = []
     for t in thresholds:
         if not 0.0 < t < 1.0:
             raise ValueError(f"threshold {t} outside (0, 1)")
-        called = s >= t
-        conf = Confusion2x2(
-            tp=int(np.sum(called & y)),
-            fp=int(np.sum(called & ~y)),
-            fn=int(np.sum(~called & y)),
-            tn=int(np.sum(~called & ~y)),
-        )
-        m = accuracy_metrics(conf, level=level, method=method)
-        out.append(
-            ThresholdMetrics(threshold=float(t), sensitivity=m.sensitivity, specificity=m.specificity)
-        )
+    v = view if view is not None else sort_scores(scores, outcomes)
+    n = len(v.s)
+    if n == 0:
+        raise ValueError("empty confusion table")
+    n_pos = int(v.cum_pos[-1])
+    n_neg = n - n_pos
+    below = np.searchsorted(v.s, np.asarray(thresholds, dtype=float))  # called negative
+    out = []
+    for t, k, fn in zip(thresholds, below.tolist(), v.cum_pos[below].tolist()):
+        sens = proportion_ci(n_pos - fn, n_pos, level=level, method=method) if n_pos else None
+        spec = proportion_ci(k - fn, n_neg, level=level, method=method) if n_neg else None
+        out.append(ThresholdMetrics(threshold=float(t), sensitivity=sens, specificity=spec))
     return out
 
 
@@ -425,6 +458,7 @@ def decision_curve(
     scores: Sequence[float],
     outcomes: Sequence[bool],
     thresholds: Sequence[float] = DEFAULT_DCA_GRID,
+    *, view: SortedScores | None = None,
 ) -> DecisionCurve:
     """Net benefit across risk-tolerance thresholds.
 
@@ -432,20 +466,21 @@ def decision_curve(
     nb_all applies the same formula treating everyone as positive; nb_none is
     identically zero; snb divides by prevalence.
     """
-    s = np.asarray(scores, dtype=float)
-    y = np.asarray(outcomes, dtype=bool)
     t = np.asarray(thresholds, dtype=float)
     if len(t) == 0:
         raise ValueError("empty threshold list")
     if np.any((t <= 0.0) | (t >= 1.0)):
         raise ValueError("decision-curve thresholds must lie strictly inside (0, 1)")
-    n = len(s)
+    v = view if view is not None else sort_scores(scores, outcomes)
+    n = len(v.s)
     if n == 0:
         raise ValueError("empty dataset")
-    prevalence = float(np.mean(y))
-    called = s[None, :] >= t[:, None]
-    tp = np.sum(called & y[None, :], axis=1) / n
-    fp = np.sum(called & ~y[None, :], axis=1) / n
+    n_pos = int(v.cum_pos[-1])
+    prevalence = n_pos / n
+    below = np.searchsorted(v.s, t)  # called negative at each threshold
+    true_pos = n_pos - v.cum_pos[below]
+    tp = true_pos / n
+    fp = (n - below - true_pos) / n
     weight = t / (1.0 - t)
     nb_model = tp - fp * weight
     nb_all = prevalence - (1.0 - prevalence) * weight
@@ -489,6 +524,7 @@ def risk_strata_analysis(
     cutoffs: Sequence[float],
     level: float = 0.95,
     method: CIMethod = CIMethod.CLOPPER_PEARSON,
+    *, view: SortedScores | None = None,
 ) -> RiskStrata:
     """Post-test risk and stratum-specific DLR across score strata.
 
@@ -502,19 +538,20 @@ def risk_strata_analysis(
         raise ValueError("at least one cutoff required")
     if any(not 0.0 < c < 1.0 for c in cuts) or sorted(set(cuts)) != cuts:
         raise ValueError("cutoffs must be strictly ascending inside (0, 1)")
-    s = np.asarray(scores, dtype=float)
-    y = np.asarray(outcomes, dtype=bool)
-    n_pos = int(y.sum())
-    n_neg = len(y) - n_pos
+    v = view if view is not None else sort_scores(scores, outcomes)
+    n_pos = int(v.cum_pos[-1])
+    n_neg = len(v.s) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("strata analysis needs both diseased and healthy cases")
 
     edges = [0.0] + cuts + [1.0]
+    # Stratum i runs from the first score >= edges[i] to the first score
+    # >= edges[i + 1]; the top stratum ends after the last score <= 1.
+    bounds = np.append(np.searchsorted(v.s, edges[:-1]), np.searchsorted(v.s, 1.0, side="right"))
     strata = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        in_stratum = (s >= lo) & (s < hi) if hi < 1.0 else (s >= lo) & (s <= 1.0)
-        n_s = int(np.sum(in_stratum))
-        pos_s = int(np.sum(in_stratum & y))
+    for lo, hi, n_s, pos_s in zip(
+        edges[:-1], edges[1:], np.diff(bounds).tolist(), np.diff(v.cum_pos[bounds]).tolist()
+    ):
         neg_s = n_s - pos_s
         risk = risk_exact = dlr = dlr_exact = None
         if n_s > 0:

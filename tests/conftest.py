@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+
+import numpy as np
 import pytest
 
 from daval.dataset import DeviceOutput, Label, Survival, ValidationRecord
@@ -24,6 +27,52 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 def acceptance_log(request):
     """Mutable criterion-number -> summary-line mapping shown after the run."""
     return request.config._acceptance_lines
+
+
+SCORES_10K_HEADER = (
+    "subject_id,site_id,truth,output,score,time,event,operator_id,device_unit_id,replicate_index"
+)
+
+
+@pytest.fixture(scope="session")
+def scores_10k_plan(tmp_path_factory):
+    """A seeded 10,000-row risk-score CSV and its plan; returns the plan path.
+
+    Scores are quantised to 3 or 4 decimals, so many subjects share a
+    threshold, and the default thresholds and the cutoffs equal some scores.
+    """
+    d = tmp_path_factory.mktemp("scores_10k")
+    rng = np.random.default_rng([20261018, 10_000])
+    n = 10_000
+    outcome = rng.random(n) < 0.25
+    latent = rng.normal(0.0, 1.0, n) + 1.1 * outcome - 1.3
+    raw = np.clip(1.0 / (1.0 + np.exp(-latent)), 0.001, 0.999)
+    four = rng.random(n) < 0.5
+    site = rng.integers(0, 3, n)
+    lines = [SCORES_10K_HEADER]
+    for i in range(n):
+        score = f"{raw[i]:.4f}" if four[i] else f"{raw[i]:.3f}"
+        truth = "pos" if outcome[i] else "neg"
+        lines.append(f"r{i:05d},site-{site[i]},{truth},,{score},,,,,")
+    (d / "scores_10k.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    plan = {
+        "dataset": "scores_10k.csv",
+        "analyses": ["riskscore"],
+        "level": 0.95,
+        "ci_method": "cp",
+        "seed": 42,
+        "params": {
+            "riskscore": {
+                "calibration": "slope",
+                "bins": 10,
+                "cutoffs": [0.1, 0.25, 0.5],
+                "train_prev": 0.25,
+                "target_prev": 0.1,
+            }
+        },
+    }
+    (d / "plan_scores_10k.json").write_text(json.dumps(plan, indent=2), encoding="utf-8")
+    return d / "plan_scores_10k.json"
 
 
 def binary_record(subject_id, truth, label, site_id="site-1", **kwargs):

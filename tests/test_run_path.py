@@ -1,15 +1,17 @@
 """`run_plan` on the study table: no per-row records, the same messages.
 
 The plan runner reads every analysis's arrays from the ingested
-`StudyTable`. These tests count record constructions during whole runs, pin
-the per-analysis error strings to the wording of the record-based runners,
-and cover plan-level behaviour that depends on reading the dataset once.
+`StudyTable`. These tests count record constructions and sorts during whole
+runs, pin the per-analysis error strings to the wording of the record-based
+runners, and cover plan-level behaviour that depends on reading the dataset
+once.
 """
 
 import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from daval import dataset
@@ -51,6 +53,32 @@ def test_demo_plans_build_no_records(record_count, plan):
     report = run_plan(load_plan(DEMO / plan))
     assert not report.has_failures
     assert record_count["n"] == 0
+
+
+@pytest.fixture
+def sort_count(monkeypatch):
+    """Number of np.argsort and np.sort calls so far."""
+    calls = {"n": 0}
+    for name in ("argsort", "sort"):
+        original = getattr(np, name)
+
+        def counting(*args, _original=original, **kwargs):
+            calls["n"] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("plan", ["demo", "10k"])
+def test_riskscore_run_sorts_each_score_vector_once(tmp_path, sort_count, scores_10k_plan, plan, capsys):
+    # One sort of the scores and one of the prevalence-scaled scores: both
+    # plans scale, and every kernel reads the shared sorts.
+    path = DEMO / "plan_scores.json" if plan == "demo" else scores_10k_plan
+    rc = cli_main(["run", "--plan", str(path), "--out", str(tmp_path / "out")])
+    capsys.readouterr()
+    assert rc == 0
+    assert sort_count["n"] == 2
 
 
 def test_every_table_runner_builds_no_records(tmp_path, record_count):
