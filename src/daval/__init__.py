@@ -6,6 +6,8 @@ and precision components, time-to-event comparisons, seeded simulation
 oracles, and deterministic plan-driven reporting.
 """
 
+from inspect import ismodule as _ismodule
+
 from ._version import __version__
 from .accuracy import (
     AccuracyMetrics,
@@ -104,86 +106,7 @@ from .survival import (
     predicted_risk_histograms,
 )
 
-__all__ = [
-    "__version__",
-    "AccuracyMetrics",
-    "AgreementResult",
-    "AnalysisPlan",
-    "CIMethod",
-    "CalibrationMode",
-    "CalibrationResult",
-    "Confusion2x2",
-    "CoxFit",
-    "DecisionCurve",
-    "DemingFit",
-    "DeviceOutput",
-    "GoalTestResult",
-    "IngestResult",
-    "KMCurve",
-    "Label",
-    "LrtResult",
-    "MonotoneLikelihoodError",
-    "NoisyQueryLedger",
-    "OutputKind",
-    "PerfectSeparationError",
-    "PowerResult",
-    "PrecisionComponents",
-    "ProportionCI",
-    "QueryBudgetError",
-    "RatioCI",
-    "RiskStrata",
-    "RocCurve",
-    "SeededGenerator",
-    "Survival",
-    "TriageConfusion",
-    "TriageReport",
-    "ValidationRecord",
-    "ValidationReport",
-    "accuracy_metrics",
-    "added_value_lrt",
-    "auc_ci",
-    "bland_altman",
-    "bootstrap_ci",
-    "calibration_plot",
-    "chi_square_sf",
-    "confusion_from_records",
-    "cox_fit",
-    "decision_curve",
-    "deming",
-    "descriptive_summary",
-    "emit_report",
-    "fit_recalibration",
-    "ingest_csv",
-    "inv_logit",
-    "km_calibration_check",
-    "km_estimate",
-    "km_risk_at",
-    "likelihood_ratios",
-    "load_plan",
-    "logit",
-    "logrank",
-    "noisy_query",
-    "posttest_risk",
-    "power_and_n",
-    "predicted_risk_histograms",
-    "predictiveness_curve",
-    "prevalence_scale",
-    "proportion_ci",
-    "ratio_ci_log_method",
-    "risk_strata_analysis",
-    "roc_curve",
-    "row_metrics",
-    "run_plan",
-    "serialize_records",
-    "simulate_binary_study",
-    "simulate_risk_scores",
-    "simulate_survival",
-    "test_vs_goal",
-    "threshold_grid",
-    "triage_report",
-    "triage_table",
-    "ungradable_proportion",
-    "validate_records",
-    "variance_components",
-    "worst_case",
-]
+# Everything imported above is public: the names, not the submodules.
+__all__ = ["__version__"] + sorted(
+    name for name, value in globals().items() if not name.startswith("_") and not _ismodule(value)
+)

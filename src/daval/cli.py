@@ -17,6 +17,7 @@ from typing import Any, Sequence
 
 from .dataset import DeviceOutput, Label, ValidationRecord, serialize_records
 from .report import (
+    ANALYSES,
     IngestError,
     PlanError,
     emit_report,
@@ -56,75 +57,29 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         default="cp",
         help="interval method for proportions (default cp)",
     )
-    _add_output(p)
-
-
-def _add_output(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="directory for report and plot files (default: print to stdout)")
     p.add_argument("--format", choices=("json", "md"), default="json", help="report format")
     p.add_argument("--seed", type=int, default=None, help="seed recorded in the report (or DAVAL_SEED)")
-
-
-def _csv_floats(text: str) -> list[float]:
-    try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise CliError(f"expected comma-separated numbers, got {text!r}") from None
-
-
-def _csv_names(text: str) -> list[str]:
-    return [tok.strip() for tok in text.split(",") if tok.strip()]
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="daval", description="Diagnostic device validation toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("accuracy", parents=[], help="2x2 accuracy metrics and goal test")
-    _add_common(p)
-    p.add_argument("--goal", type=float, help="performance goal tested one-sided for sensitivity and specificity")
-    p.add_argument("--alpha", type=float, default=0.05, help="goal-test significance level")
-    p.add_argument("--pretest", type=float, help="pre-test risk for post-test risk read-off")
-    p.set_defaults(func=_cmd_accuracy)
-
-    p = sub.add_parser("qc", help="triage table with ungradable outputs as a third row")
-    _add_common(p)
-    p.set_defaults(func=_cmd_qc)
-
-    p = sub.add_parser("riskscore", help="calibration, discrimination and utility of score outputs")
-    _add_common(p)
-    p.add_argument("--calibration", choices=("large", "slope"), default="slope")
-    p.add_argument("--bins", type=int, default=10, help="calibration bins (default 10)")
-    p.add_argument("--train-prev", type=float, help="development prevalence for scaling")
-    p.add_argument("--target-prev", type=float, help="deployment prevalence for scaling")
-    p.add_argument("--cutoffs", type=_csv_floats, help="risk-strata cutoffs, e.g. 0.2,0.5")
-    p.add_argument("--dca-grid", type=_csv_floats, help="decision-curve thresholds")
-    p.set_defaults(func=_cmd_riskscore)
-
-    p = sub.add_parser("agreement", help="Bland-Altman and Deming comparison of two columns")
-    _add_common(p)
-    p.add_argument("--x-col", required=True, help="column with the first method's values")
-    p.add_argument("--y-col", required=True, help="column with the second method's values")
-    p.add_argument("--lambda", dest="lam", type=float, help="error-variance ratio (default 1)")
-    p.set_defaults(func=_cmd_agreement)
-
-    p = sub.add_parser("precision", help="repeatability/reproducibility variance components")
-    _add_common(p)
-    p.add_argument(
-        "--condition-fields",
-        type=_csv_names,
-        default=["operator_id", "device_unit_id"],
-        help="record fields whose combinations define a condition",
-    )
-    p.set_defaults(func=_cmd_precision)
-
-    p = sub.add_parser("survival", help="Kaplan-Meier, log-rank, Cox and added-value LRT")
-    _add_common(p)
-    p.add_argument("--groups-by", help="record field or covariate defining risk groups")
-    p.add_argument("--horizon", type=float, help="time for risk read-off")
-    p.add_argument("--baseline-covariates", type=_csv_names, help="baseline model columns")
-    p.add_argument("--added-covariates", type=_csv_names, help="columns added on top of baseline")
-    p.set_defaults(func=_cmd_survival)
+    # One subcommand per analysis; each flag is the plan parameter of the same name.
+    for name, analysis in ANALYSES.items():
+        p = sub.add_parser(name, help=analysis.title)
+        _add_common(p)
+        for param in analysis.params:
+            p.add_argument(
+                "--" + param.name.replace("_", "-"),
+                dest=param.name,
+                type=param.kind.parse,
+                default=param.default,
+                required=param.required,
+                help=param.help if param.default is None else f"{param.help} (default {param.default})",
+            )
+        p.set_defaults(func=_run_analysis)
 
     p = sub.add_parser("simulate", help="write a seeded synthetic dataset in the canonical schema")
     p.add_argument("--kind", choices=("binary", "scores", "survival"), required=True)
@@ -178,8 +133,14 @@ def _finish(report, args) -> int:
     return 0
 
 
-def _run_single(analysis: str, args, params: dict[str, Any]) -> int:
-    params = {k: v for k, v in params.items() if v is not None}
+def _run_analysis(args) -> int:
+    """Run the one-analysis plan that the subcommand's flags spell out."""
+    analysis = args.command
+    params = {
+        param.name: getattr(args, param.name)
+        for param in ANALYSES[analysis].params
+        if getattr(args, param.name) is not None
+    }
     raw: dict[str, Any] = {
         "dataset": args.dataset,
         "analyses": [analysis],
@@ -193,56 +154,6 @@ def _run_single(analysis: str, args, params: dict[str, Any]) -> int:
         raw["seed"] = seed
     report = run_plan(plan_from_dict(raw))
     return _finish(report, args)
-
-
-def _cmd_accuracy(args) -> int:
-    return _run_single(
-        "accuracy", args, {"goal": args.goal, "alpha": args.alpha, "pretest": args.pretest}
-    )
-
-
-def _cmd_qc(args) -> int:
-    return _run_single("qc", args, {})
-
-
-def _cmd_riskscore(args) -> int:
-    if (args.train_prev is None) != (args.target_prev is None):
-        raise CliError("--train-prev and --target-prev must be given together")
-    return _run_single(
-        "riskscore",
-        args,
-        {
-            "calibration": args.calibration,
-            "bins": args.bins,
-            "train_prev": args.train_prev,
-            "target_prev": args.target_prev,
-            "cutoffs": args.cutoffs,
-            "dca_grid": args.dca_grid,
-        },
-    )
-
-
-def _cmd_agreement(args) -> int:
-    return _run_single(
-        "agreement", args, {"x_col": args.x_col, "y_col": args.y_col, "lambda": args.lam}
-    )
-
-
-def _cmd_precision(args) -> int:
-    return _run_single("precision", args, {"condition_fields": args.condition_fields})
-
-
-def _cmd_survival(args) -> int:
-    return _run_single(
-        "survival",
-        args,
-        {
-            "groups_by": args.groups_by,
-            "horizon": args.horizon,
-            "baseline_covariates": args.baseline_covariates,
-            "added_covariates": args.added_covariates,
-        },
-    )
 
 
 def _cmd_simulate(args) -> int:
@@ -302,13 +213,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (PlanError, IngestError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (CliError, PlanError, IngestError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -18,16 +18,15 @@ import io
 import json
 import math
 from dataclasses import dataclass
+from enum import Enum
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
 from ._version import __version__
 from .accuracy import (
     CIMethod,
-    ProportionCI,
-    RatioCI,
     accuracy_metrics,
     confusion_from_records,
     likelihood_ratios,
@@ -81,26 +80,13 @@ __all__ = [
     "emit_report",
 ]
 
-ANALYSES = ("accuracy", "qc", "riskscore", "agreement", "precision", "survival")
-
 _PLAN_KEYS = {"dataset", "analyses", "mapping", "level", "ci_method", "seed", "params"}
-_PARAM_KEYS = {
-    "accuracy": {"goal", "alpha", "pretest"},
-    "qc": set(),
-    "riskscore": {
-        "calibration",
-        "bins",
-        "train_prev",
-        "target_prev",
-        "cutoffs",
-        "thresholds",
-        "dca_grid",
-    },
-    "agreement": {"x_col", "y_col", "lambda"},
-    "precision": {"condition_fields"},
-    "survival": {"groups_by", "horizon", "baseline_covariates", "added_covariates"},
-}
 _RECORD_GROUP_FIELDS = ("site_id", "operator_id", "device_unit_id")
+# Column kinds: the record fields a column parameter may name, and whether it
+# may name a numeric dataset column instead.
+_NUMERIC = ((), True)
+_FIELD = (_RECORD_GROUP_FIELDS + ("replicate_index",), False)
+_EITHER = (_RECORD_GROUP_FIELDS, True)
 
 
 class PlanError(ValueError):
@@ -128,12 +114,104 @@ def canonical_hash(obj: Any) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_name(value: Any) -> bool:
+    return isinstance(value, str) and bool(value)
+
+
+def _is_names(value: Any) -> bool:
+    return isinstance(value, list) and all(map(_is_name, value))
+
+
 def _require_unit(value: Any, name: str) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
+    if not _is_number(value):
         raise PlanError(f"{name} must be a number, got {value!r}")
     if not 0.0 < float(value) < 1.0:
         raise PlanError(f"{name} must lie in (0, 1), got {value}")
     return float(value)
+
+
+def _require_units(value: Any, name: str) -> None:
+    if not isinstance(value, list) or not value:
+        raise PlanError(f"{name} must be a nonempty list")
+    for v in value:
+        _require_unit(v, f"{name} entry")
+
+
+def _must(test: Callable[[Any], bool], what: str) -> Callable[[Any, str], None]:
+    def check(value: Any, name: str) -> None:
+        if not test(value):
+            raise PlanError(f"{name} must be {what}")
+
+    return check
+
+
+def _names(text: str) -> list[str]:
+    return [tok.strip() for tok in text.split(",") if tok.strip()]
+
+
+def _numbers(text: str) -> list[float]:
+    return [float(tok) for tok in _names(text)]
+
+
+@dataclass(frozen=True)
+class Kind:
+    """A parameter's value type: its plan check and how a flag's text parses."""
+
+    check: Callable[[Any, str], None]  # raises PlanError naming the parameter
+    parse: Callable[[str], Any] = float
+
+
+_UNIT = Kind(_require_unit)
+_UNITS = Kind(_require_units, _numbers)
+_POSITIVE = Kind(_must(lambda v: _is_number(v) and v > 0, "a positive number"))
+_NONNEGATIVE = Kind(_must(lambda v: _is_number(v) and v >= 0, "a nonnegative number"))
+_CALIBRATION = Kind(_must(lambda v: v in ("large", "slope"), "'large' or 'slope'"), str)
+_BINS = Kind(_must(lambda v: type(v) is int and v >= 2, "an integer >= 2"), int)
+_COLUMN = Kind(_must(_is_name, "a column name"), str)
+_GROUP = Kind(_must(_is_name, "a field or covariate name"), str)
+_FIELDS = Kind(_must(lambda v: _is_names(v) and v != [], "a list of field names"), _names)
+_COVARIATES = Kind(_must(_is_names, "a list of covariate names"), _names)
+
+
+@dataclass(frozen=True)
+class Param:
+    """One plan parameter of an analysis; its CLI flag is `--` + name with `_` -> `-`.
+
+    `default` is what an absent parameter means: the CLI writes it into the
+    plan it builds, and a validated plan carries it. `column` says what the
+    value names: the record fields it may be, and whether it may instead be
+    a numeric column of the dataset.
+    """
+
+    name: str
+    kind: Kind
+    help: str
+    default: Any = None
+    required: bool = False
+    column: tuple[tuple[str, ...], bool] | None = None  # _NUMERIC, _FIELD or _EITHER
+
+
+# What an analysis runner returns: its result block, plot CSVs and warnings.
+Outcome = tuple[dict, dict, list[str]]
+
+
+@dataclass(frozen=True)
+class Analysis:
+    """One analysis: its report section, CLI subcommand, parameters and runner.
+
+    `run(table, params, level, method)` computes the result block, and
+    `check(params)` holds the rules across parameters.
+    """
+
+    title: str  # the report section heading and the subcommand's help
+    params: tuple[Param, ...]
+    run: Callable[[StudyTable, dict, float, CIMethod], Outcome]
+    render: Callable[[dict, list[str]], None]
+    check: Callable[[dict], None] = lambda params: None
 
 
 def plan_from_dict(raw: dict, base_dir: Path | None = None) -> AnalysisPlan:
@@ -180,19 +258,26 @@ def plan_from_dict(raw: dict, base_dir: Path | None = None) -> AnalysisPlan:
     params = raw.get("params", {})
     if not isinstance(params, dict):
         raise PlanError("params must be an object keyed by analysis name")
-    for name, p in params.items():
-        if name not in analyses:
-            raise PlanError(f"params given for analysis {name!r} that is not enabled")
-        if not isinstance(p, dict):
+    stray = [name for name in params if name not in analyses]
+    if stray:
+        raise PlanError(f"params given for analysis {stray[0]!r} that is not enabled")
+    validated = {}
+    for name in analyses:
+        spec, given = ANALYSES[name].params, params.get(name, {})
+        if not isinstance(given, dict):
             raise PlanError(f"params for {name!r} must be an object")
-        unknown = set(p) - _PARAM_KEYS[name]
+        unknown = set(given) - {param.name for param in spec}
         if unknown:
             raise PlanError(f"unknown {name} parameters: {sorted(unknown)}")
-    _validate_params(params)
-    if "agreement" in analyses:
-        ap = params.get("agreement", {})
-        if "x_col" not in ap or "y_col" not in ap:
-            raise PlanError("agreement analysis needs 'x_col' and 'y_col' parameters")
+        for param in spec:
+            if param.name in given:
+                param.kind.check(given[param.name], f"{name}.{param.name}")
+            elif param.required:
+                required = " and ".join(repr(param.name) for param in spec if param.required)
+                raise PlanError(f"{name} analysis needs {required} parameters")
+        ANALYSES[name].check(given)
+        defaults = {param.name: param.default for param in spec if param.default is not None}
+        validated[name] = {**defaults, **given}
     return AnalysisPlan(
         dataset=path,
         analyses=tuple(analyses),
@@ -200,60 +285,9 @@ def plan_from_dict(raw: dict, base_dir: Path | None = None) -> AnalysisPlan:
         level=level,
         ci_method=ci_method,
         seed=seed,
-        params={k: dict(v) for k, v in params.items()},
+        params=validated,
         plan_hash=plan_hash,
     )
-
-
-def _validate_params(params: dict[str, dict[str, Any]]) -> None:
-    acc = params.get("accuracy", {})
-    for key in ("goal", "alpha", "pretest"):
-        if key in acc:
-            _require_unit(acc[key], f"accuracy.{key}")
-    rs = params.get("riskscore", {})
-    if "calibration" in rs and rs["calibration"] not in ("large", "slope"):
-        raise PlanError("riskscore.calibration must be 'large' or 'slope'")
-    if "bins" in rs and (isinstance(rs["bins"], bool) or not isinstance(rs["bins"], int) or rs["bins"] < 2):
-        raise PlanError("riskscore.bins must be an integer >= 2")
-    if ("train_prev" in rs) != ("target_prev" in rs):
-        raise PlanError("riskscore scaling needs both train_prev and target_prev")
-    for key in ("train_prev", "target_prev"):
-        if key in rs:
-            _require_unit(rs[key], f"riskscore.{key}")
-    for key in ("cutoffs", "thresholds", "dca_grid"):
-        if key in rs:
-            vals = rs[key]
-            if not isinstance(vals, list) or not vals:
-                raise PlanError(f"riskscore.{key} must be a nonempty list")
-            for v in vals:
-                _require_unit(v, f"riskscore.{key} entry")
-            if key == "cutoffs" and sorted(vals) != vals:
-                raise PlanError("riskscore.cutoffs must be ascending")
-    ag = params.get("agreement", {})
-    for key in ("x_col", "y_col"):
-        if key in ag and (not isinstance(ag[key], str) or not ag[key]):
-            raise PlanError(f"agreement.{key} must be a column name")
-    if "lambda" in ag:
-        lam = ag["lambda"]
-        if not isinstance(lam, (int, float)) or isinstance(lam, bool) or lam <= 0:
-            raise PlanError("agreement.lambda must be a positive number")
-    pr = params.get("precision", {})
-    if "condition_fields" in pr:
-        cf = pr["condition_fields"]
-        if not isinstance(cf, list) or not all(isinstance(c, str) for c in cf) or not cf:
-            raise PlanError("precision.condition_fields must be a list of field names")
-    sv = params.get("survival", {})
-    if "groups_by" in sv and (not isinstance(sv["groups_by"], str) or not sv["groups_by"]):
-        raise PlanError("survival.groups_by must be a field or covariate name")
-    if "horizon" in sv:
-        h = sv["horizon"]
-        if not isinstance(h, (int, float)) or isinstance(h, bool) or h < 0:
-            raise PlanError("survival.horizon must be a nonnegative number")
-    for key in ("baseline_covariates", "added_covariates"):
-        if key in sv:
-            names = sv[key]
-            if not isinstance(names, list) or not all(isinstance(c, str) and c for c in names):
-                raise PlanError(f"survival.{key} must be a list of covariate names")
 
 
 def load_plan(path: str | Path) -> AnalysisPlan:
@@ -296,70 +330,46 @@ def _header_columns(text: str, path: Path) -> list[str]:
     return [name.strip() for name in header]
 
 
-def _check_referenced_columns(plan: AnalysisPlan, header: list[str]) -> None:
-    present = set(header)
-    for canonical, actual in plan.mapping.items():
-        if actual not in present:
-            raise PlanError(f"mapped column {actual!r} (for {canonical}) not in dataset")
-    ag = plan.params.get("agreement", {})
-    for key in ("x_col", "y_col"):
-        col = ag.get(key)
-        if col is not None and col not in present:
-            raise PlanError(f"agreement.{key} column {col!r} not in dataset")
-    sv = plan.params.get("survival", {})
-    for key in ("baseline_covariates", "added_covariates"):
-        for col in sv.get(key, []):
-            if col not in present:
-                raise PlanError(f"survival covariate column {col!r} not in dataset")
-    groups_by = sv.get("groups_by")
-    if groups_by is not None and groups_by not in _RECORD_GROUP_FIELDS and groups_by not in present:
-        raise PlanError(f"survival.groups_by {groups_by!r} is neither a record field nor a column")
-    pr = plan.params.get("precision", {})
-    for f in pr.get("condition_fields", []):
-        if f not in _RECORD_GROUP_FIELDS and f != "replicate_index":
-            raise PlanError(f"precision condition field {f!r} is not a record field")
+def _check_columns(plan: AnalysisPlan, header: list[str], excluded: tuple[str, ...]) -> None:
+    """Refuse a plan that names a column the dataset lacks, or, where it needs
+    numbers, a column ingest excluded as text."""
+    for name in plan.analyses:
+        params = plan.params[name]
+        for param in ANALYSES[name].params:
+            if param.column is None or param.name not in params:
+                continue
+            fields, numeric = param.column
+            key, value = f"{name}.{param.name}", params[param.name]
+            for col in value if isinstance(value, list) else [value]:
+                if col in fields:
+                    continue
+                if not numeric:
+                    raise PlanError(f"{key} {col!r} is not a record field")
+                if col not in header:
+                    if fields:
+                        raise PlanError(f"{key} {col!r} is neither a record field nor a column")
+                    raise PlanError(f"{key} column {col!r} not in dataset")
+                if col in excluded:
+                    raise PlanError(
+                        f"{key} column {col!r} was excluded by ingest as non-numeric; "
+                        f"{key} needs a numeric column"
+                    )
 
 
-def _check_numeric_columns(plan: AnalysisPlan, excluded: tuple[str, ...]) -> None:
-    """Refuse a plan that names, where it needs numbers, a column ingest excluded as text."""
-    ag = plan.params.get("agreement", {})
-    sv = plan.params.get("survival", {})
-    named = [(f"agreement.{key}", ag.get(key)) for key in ("x_col", "y_col")]
-    for key in ("baseline_covariates", "added_covariates"):
-        named.extend((f"survival.{key}", col) for col in sv.get(key, []))
-    named.append(("survival.groups_by", sv.get("groups_by")))
-    for key, col in named:
-        if col in excluded:
-            raise PlanError(
-                f"{key} column {col!r} was excluded by ingest as non-numeric; "
-                f"{key} needs a numeric column"
-            )
-
-
-def _ci_dict(ci: ProportionCI | None) -> dict[str, Any] | None:
-    if ci is None:
-        return None
-    return {
-        "estimate": ci.estimate,
-        "lower": ci.lower,
-        "upper": ci.upper,
-        "level": ci.level,
-        "method": ci.method.value,
-        "numerator": ci.numerator,
-        "denominator": ci.denominator,
-    }
-
-
-def _ratio_dict(rc: RatioCI | None) -> dict[str, Any] | None:
-    if rc is None:
-        return None
-    return {
-        "estimate": rc.estimate,
-        "lower": rc.lower,
-        "upper": rc.upper,
-        "level": rc.level,
-        "degenerate": rc.degenerate,
-    }
+def _block(result: Any, *names: str) -> Any:
+    """A kernel result as report data: the named fields of a result dataclass
+    (all of them when none are named), nested results, mappings and sequences
+    converted alike, enums as their values."""
+    fields = getattr(type(result), "__dataclass_fields__", None)
+    if fields is not None:
+        return {name: _block(getattr(result, name)) for name in names or fields}
+    if isinstance(result, Enum):
+        return result.value
+    if isinstance(result, dict):
+        return {key: _block(v) for key, v in result.items()}
+    if isinstance(result, (list, tuple)):
+        return [_block(v) for v in result]
+    return result
 
 
 def _posttest(pretest: float, lr: float) -> float:
@@ -370,21 +380,11 @@ def _posttest(pretest: float, lr: float) -> float:
     return 0.0 if lr == 0 else posttest_risk(pretest, lr)
 
 
-def _run_accuracy(
-    table: StudyTable, params: dict, level: float, method: CIMethod
-) -> tuple[dict, dict]:
+def _run_accuracy(table: StudyTable, params: dict, level: float, method: CIMethod) -> Outcome:
     conf = confusion_from_records(table)
     metrics = accuracy_metrics(conf, level=level, method=method)
     lrs = likelihood_ratios(conf, level=level)
-    block: dict[str, Any] = {
-        "counts": {"tp": conf.tp, "fp": conf.fp, "fn": conf.fn, "tn": conf.tn},
-        "sensitivity": _ci_dict(metrics.sensitivity),
-        "specificity": _ci_dict(metrics.specificity),
-        "ppv": _ci_dict(metrics.ppv),
-        "npv": _ci_dict(metrics.npv),
-        "lr_pos": _ratio_dict(lrs["lr_pos"]),
-        "lr_neg": _ratio_dict(lrs["lr_neg"]),
-    }
+    block: dict[str, Any] = {"counts": _block(conf), **_block(metrics), **_block(lrs)}
     pretest = params.get("pretest")
     if pretest is not None:
         block["posttest"] = {
@@ -394,65 +394,33 @@ def _run_accuracy(
         }
     goal = params.get("goal")
     if goal is not None:
-        alpha = params.get("alpha", 0.05)
-        goal_tests = {}
-        for name, x, n in (
-            ("sensitivity", conf.tp, conf.n_positive),
-            ("specificity", conf.tn, conf.n_negative),
-        ):
-            gt = test_vs_goal(x, n, goal, alpha=alpha)
-            goal_tests[name] = {
-                "x": gt.x,
-                "n": gt.n,
-                "goal": gt.goal,
-                "alpha": gt.alpha,
-                "p_value": gt.p_value,
-                "reject": gt.reject,
-                "critical_count": gt.critical_count,
-            }
-        block["goal_tests"] = goal_tests
-    return block, {}
+        block["goal_tests"] = {
+            name: _block(test_vs_goal(x, n, goal, alpha=params["alpha"]))
+            for name, x, n in (
+                ("sensitivity", conf.tp, conf.n_positive),
+                ("specificity", conf.tn, conf.n_negative),
+            )
+        }
+    return block, {}, []
 
 
-def _run_qc(
-    table: StudyTable, params: dict, level: float, method: CIMethod
-) -> tuple[dict, dict]:
+def _run_qc(table: StudyTable, params: dict, level: float, method: CIMethod) -> Outcome:
     tri = triage_table(table)
     rep = triage_report(tri, level=level, method=method)
-    rows = []
-    for row in rep.rows:
-        rows.append(
-            {
-                "name": row.name,
-                "diseased": row.diseased,
-                "healthy": row.healthy,
-                "posttest_risk": _ci_dict(row.posttest_risk),
-                "likelihood_ratio": _ratio_dict(row.likelihood_ratio),
-            }
-        )
     block = {
-        "table": {
-            "a": tri.a,
-            "b": tri.b,
-            "c": tri.c,
-            "d": tri.d,
-            "e": tri.e,
-            "f": tri.f,
-            "total": tri.total,
-        },
-        "rows": rows,
-        "worst_case": {
-            "sensitivity": _ci_dict(rep.worst.sensitivity),
-            "specificity": _ci_dict(rep.worst.specificity),
-            "pretest_risk": _ci_dict(rep.worst.pretest_risk),
-        },
+        "table": _block(tri, "a", "b", "c", "d", "e", "f", "total"),
+        "rows": [
+            _block(row, "name", "diseased", "healthy", "posttest_risk", "likelihood_ratio")
+            for row in rep.rows
+        ],
+        "worst_case": _block(rep.worst, "sensitivity", "specificity", "pretest_risk"),
         "gradable_only": {
-            "sensitivity": _ci_dict(rep.gradable_sensitivity),
-            "specificity": _ci_dict(rep.gradable_specificity),
+            "sensitivity": _block(rep.gradable_sensitivity),
+            "specificity": _block(rep.gradable_specificity),
         },
-        "ungradable_proportion": _ci_dict(rep.ungradable),
+        "ungradable_proportion": _block(rep.ungradable),
     }
-    return block, {}
+    return block, {}, []
 
 
 def _score_outcome_arrays(table: StudyTable) -> tuple[np.ndarray, np.ndarray]:
@@ -465,34 +433,19 @@ def _score_outcome_arrays(table: StudyTable) -> tuple[np.ndarray, np.ndarray]:
                 f"has {table.kind_at(i).value!r}"
             )
         raise ValueError(f"subject {table.subject_id[i]!r} has no reference truth")
-    if not len(table):
-        raise ValueError("no records")
     return table.score, table.truth == 1
 
 
 def _calibration_dict(scores, outcomes, view, mode: CalibrationMode, n_bins: int) -> dict:
-    fit = fit_recalibration(scores, outcomes, mode=mode, n_bins=n_bins, view=view)
-    return {
-        "mode": fit.constrained.value,
-        "intercept": fit.intercept,
-        "slope": fit.slope,
-        "converged": fit.converged,
-        "iterations": fit.iterations,
-        "log_likelihood": fit.log_likelihood,
-        "n_clipped": fit.n_clipped,
-        "bins": [
-            {"mean_predicted": b.mean_predicted, "observed_rate": b.observed_rate, "n": b.n}
-            for b in fit.bins
-        ],
-    }
+    block = _block(fit_recalibration(scores, outcomes, mode=mode, n_bins=n_bins, view=view))
+    block["mode"] = block.pop("constrained")
+    return block
 
 
-def _run_riskscore(
-    table: StudyTable, params: dict, level: float, method: CIMethod
-) -> tuple[dict, dict]:
+def _run_riskscore(table: StudyTable, params: dict, level: float, method: CIMethod) -> Outcome:
     scores, outcomes = _score_outcome_arrays(table)
-    mode = CalibrationMode.INTERCEPT_ONLY if params.get("calibration") == "large" else CalibrationMode.INTERCEPT_AND_SLOPE
-    n_bins = params.get("bins", 10)
+    mode = CalibrationMode.INTERCEPT_ONLY if params["calibration"] == "large" else CalibrationMode.INTERCEPT_AND_SLOPE
+    n_bins = params["bins"]
     block: dict[str, Any] = {
         "n": len(scores),
         "prevalence": int(np.count_nonzero(outcomes)) / len(outcomes),
@@ -501,26 +454,16 @@ def _run_riskscore(
     block["calibration"] = _calibration_dict(scores, outcomes, view, mode, n_bins)
 
     roc = roc_curve(scores, outcomes, view=view)
-    auc_block: dict[str, Any] = {
-        "auc": roc.auc,
-        "auc_se": roc.auc_se,
-        "n_pos": roc.n_pos,
-        "n_neg": roc.n_neg,
-    }
+    auc_block = _block(roc, "auc", "auc_se", "n_pos", "n_neg")
     if roc.n_pos >= 2 and roc.n_neg >= 2:
         lo, hi = auc_ci(roc, level=level)
         auc_block["lower"], auc_block["upper"] = lo, hi
     block["discrimination"] = auc_block
 
     thresholds = params.get("thresholds", [round(0.1 * k, 1) for k in range(1, 10)])
-    block["threshold_grid"] = [
-        {
-            "threshold": tm.threshold,
-            "sensitivity": _ci_dict(tm.sensitivity),
-            "specificity": _ci_dict(tm.specificity),
-        }
-        for tm in threshold_grid(scores, outcomes, thresholds, level=level, method=method, view=view)
-    ]
+    block["threshold_grid"] = _block(
+        threshold_grid(scores, outcomes, thresholds, level=level, method=method, view=view)
+    )
 
     dca = decision_curve(scores, outcomes, params.get("dca_grid") or DEFAULT_DCA_GRID, view=view)
     block["decision_curve"] = {"n_thresholds": len(dca.thresholds), "prevalence": dca.prevalence}
@@ -528,20 +471,16 @@ def _run_riskscore(
     if "cutoffs" in params:
         strata = risk_strata_analysis(scores, outcomes, params["cutoffs"], level=level, method=method, view=view)
         block["risk_strata"] = [
-            {
-                "lower": st.lower,
-                "upper": st.upper,
-                "n": st.n,
-                "n_diseased": st.n_diseased,
-                "posttest_risk": _ci_dict(st.posttest_risk),
-                "dlr": _ratio_dict(st.dlr),
-            }
+            _block(st, "lower", "upper", "n", "n_diseased", "posttest_risk", "dlr")
             for st in strata.strata
         ]
 
     if "train_prev" in params:
         train, target = params["train_prev"], params["target_prev"]
-        scaled = prevalence_scale(scores, train, target)
+        # A score of exactly 0 or 1 is certain at any prevalence: p' = p there.
+        inside = (scores > 0.0) & (scores < 1.0)
+        scaled = scores.copy()
+        scaled[inside] = prevalence_scale(scores[inside], train, target)
         scaled_view = sort_scores(scaled, outcomes)
         # The cited methodology leaves the order of recalibration and scaling
         # open, so both orders are reported side by side.
@@ -569,12 +508,10 @@ def _run_riskscore(
             [dca.thresholds, dca.nb_model, dca.nb_all, dca.nb_none, dca.snb_model],
         ),
     }
-    return block, plots
+    return block, plots, []
 
 
-def _run_agreement(
-    table: StudyTable, params: dict, level: float, method: CIMethod
-) -> tuple[dict, dict]:
+def _run_agreement(table: StudyTable, params: dict, level: float, method: CIMethod) -> Outcome:
     x_col, y_col = params["x_col"], params["y_col"]
     x, y = table.covariate(x_col), table.covariate(y_col)
     i = first_row(np.isnan(x) | np.isnan(y))
@@ -588,45 +525,17 @@ def _run_agreement(
     block = {
         "x_col": x_col,
         "y_col": y_col,
-        "bland_altman": {
-            "mean_difference": ba.mean_difference,
-            "sd_difference": ba.sd_difference,
-            "loa_lower": ba.loa_lower,
-            "loa_upper": ba.loa_upper,
-            "loa_ci_halfwidth": ba.loa_ci_halfwidth,
-            "n": ba.n,
-        },
-        "deming": {
-            "slope": fit.slope,
-            "intercept": fit.intercept,
-            "lambda": fit.lam,
-            "lambda_defaulted": lam is None,
-            "n": fit.n,
-        },
+        "bland_altman": _block(ba),
+        "deming": {**_block(fit, "slope", "intercept", "n"), "lambda": fit.lam, "lambda_defaulted": lam is None},
     }
     plots = {"bland_altman.csv": (("mean", "difference"), [(x + y) / 2.0, x - y])}
-    return block, plots
+    return block, plots, []
 
 
-def _run_precision(
-    table: StudyTable, params: dict, level: float, method: CIMethod
-) -> tuple[dict, dict]:
-    fields = tuple(params.get("condition_fields", ("operator_id", "device_unit_id")))
+def _run_precision(table: StudyTable, params: dict, level: float, method: CIMethod) -> Outcome:
+    fields = tuple(params["condition_fields"])
     comp = variance_components(table, condition_fields=fields)
-    block = {
-        "condition_fields": list(fields),
-        "grand_mean": comp.grand_mean,
-        "repeatability_sd": comp.repeatability_sd,
-        "between_condition_sd": comp.between_condition_sd,
-        "reproducibility_sd": comp.reproducibility_sd,
-        "cv_repeatability": comp.cv_repeatability,
-        "cv_reproducibility": comp.cv_reproducibility,
-        "n_subjects": comp.n_subjects,
-        "df_repeatability": comp.df_repeatability,
-        "df_condition": comp.df_condition,
-        "negative_component_clipped": comp.negative_component_clipped,
-    }
-    return block, {}
+    return {"condition_fields": list(fields), **_block(comp)}, {}, []
 
 
 def _groups(table: StudyTable, groups_by: str) -> dict[str, np.ndarray]:
@@ -655,9 +564,10 @@ def _km_columns(named_curves: list[tuple[str, KMCurve]]) -> list[PlotColumn]:
     return columns
 
 
-def _run_survival(
-    table: StudyTable, params: dict, level: float, method: CIMethod
-) -> tuple[dict, dict, list[str]]:
+_COX_FIELDS = ("coefficients", "log_partial_likelihood", "converged", "iterations", "ties_method")
+
+
+def _run_survival(table: StudyTable, params: dict, level: float, method: CIMethod) -> Outcome:
     times, events = survival_arrays(table)
     curve = km_estimate(times, events, level=level)
     block: dict[str, Any] = {
@@ -670,14 +580,7 @@ def _run_survival(
 
     horizon = params.get("horizon")
     if horizon is not None:
-        at = km_risk_at(curve, horizon, level=level)
-        block["risk_at_horizon"] = {
-            "time": at.time,
-            "risk": at.risk,
-            "lower": at.lower,
-            "upper": at.upper,
-            "extrapolated": at.extrapolated,
-        }
+        block["risk_at_horizon"] = _block(km_risk_at(curve, horizon, level=level))
 
     groups_by = params.get("groups_by")
     if groups_by is not None:
@@ -695,38 +598,19 @@ def _run_survival(
             }
             if horizon is not None:
                 g_at = km_risk_at(g_curve, horizon, level=level)
-                entry["risk_at_horizon"] = {
-                    "risk": g_at.risk,
-                    "lower": g_at.lower,
-                    "upper": g_at.upper,
-                    "extrapolated": g_at.extrapolated,
-                }
+                entry["risk_at_horizon"] = _block(g_at, "risk", "lower", "upper", "extrapolated")
             group_blocks[name] = entry
         block["groups_by"] = groups_by
         block["groups"] = group_blocks
         if len(group_arrays) >= 2:
-            lr = logrank(group_arrays)
-            block["logrank"] = {
-                "statistic": lr.statistic,
-                "df": lr.df,
-                "p_value": lr.p_value,
-                "degenerate": lr.degenerate,
-            }
+            block["logrank"] = _block(logrank(group_arrays))
 
     baseline_names = params.get("baseline_covariates", [])
     added_names = params.get("added_covariates", [])
     if baseline_names or added_names:
         base_x = covariate_matrix(table, baseline_names)
         base_fit = cox_fit(base_x, times, events, names=baseline_names)
-        cox_block: dict[str, Any] = {
-            "baseline": {
-                "coefficients": base_fit.coefficients,
-                "log_partial_likelihood": base_fit.log_partial_likelihood,
-                "converged": base_fit.converged,
-                "iterations": base_fit.iterations,
-                "ties_method": base_fit.ties_method,
-            }
-        }
+        cox_block: dict[str, Any] = {"baseline": _block(base_fit, *_COX_FIELDS)}
         if base_fit.tie_fraction > 0.10:
             warnings.append(
                 f"survival: {base_fit.tie_fraction:.0%} of events are tied; the Breslow "
@@ -736,19 +620,8 @@ def _run_survival(
             full_names = list(baseline_names) + list(added_names)
             full_x = covariate_matrix(table, full_names)
             full_fit = cox_fit(full_x, times, events, names=full_names)
-            lrt = added_value_lrt(base_fit, full_fit, added_df=len(added_names))
-            cox_block["full"] = {
-                "coefficients": full_fit.coefficients,
-                "log_partial_likelihood": full_fit.log_partial_likelihood,
-                "converged": full_fit.converged,
-                "iterations": full_fit.iterations,
-                "ties_method": full_fit.ties_method,
-            }
-            cox_block["lrt"] = {
-                "statistic": lrt.statistic,
-                "df": lrt.df,
-                "p_value": lrt.p_value,
-            }
+            cox_block["full"] = _block(full_fit, *_COX_FIELDS)
+            cox_block["lrt"] = _block(added_value_lrt(base_fit, full_fit, added_df=len(added_names)))
         block["cox"] = cox_block
 
     plots = {
@@ -776,13 +649,16 @@ def run_plan(plan: AnalysisPlan) -> ValidationReport:
         raise IngestError(
             f"{plan.dataset} is not UTF-8 text: byte {exc.start} is 0x{data_bytes[exc.start]:02x}"
         ) from None
-    _check_referenced_columns(plan, _header_columns(text, plan.dataset))
+    header = _header_columns(text, plan.dataset)
+    for canonical, actual in plan.mapping.items():
+        if actual not in header:
+            raise PlanError(f"mapped column {actual!r} (for {canonical}) not in dataset")
     result = ingest_csv(io.StringIO(text, newline=""), mapping=plan.mapping or None)
     del text
+    _check_columns(plan, header, result.excluded_columns)
     if result.errors:
         first = "; ".join(f"row {e.row}: {e.message}" for e in result.errors[:5])
         raise IngestError(f"{len(result.errors)} bad rows in {plan.dataset} ({first})")
-    _check_numeric_columns(plan, result.excluded_columns)
     table = result.table
     if not len(table):
         raise IngestError(f"no data rows in {plan.dataset}")
@@ -801,25 +677,14 @@ def run_plan(plan: AnalysisPlan) -> ValidationReport:
             f"data: {len(integrity.duplicate_keys)} duplicate (subject, replicate) keys"
         )
 
-    runners = {
-        "accuracy": _run_accuracy,
-        "qc": _run_qc,
-        "riskscore": _run_riskscore,
-        "agreement": _run_agreement,
-        "precision": _run_precision,
-    }
     results: dict[str, dict] = {}
     plots: dict[str, tuple[tuple[str, ...], list[PlotColumn]]] = {}
-    for name in ANALYSES:
+    for name, analysis in ANALYSES.items():
         if name not in plan.analyses:
             continue
-        params = plan.params.get(name, {})
         try:
-            if name == "survival":
-                block, p, extra = _run_survival(table, params, plan.level, plan.ci_method)
-                warnings.extend(extra)
-            else:
-                block, p = runners[name](table, params, plan.level, plan.ci_method)
+            block, p, extra = analysis.run(table, plan.params[name], plan.level, plan.ci_method)
+            warnings.extend(extra)
         except Exception as exc:
             block, p = {"error": f"{type(exc).__name__}: {exc}"}, {}
         results[name] = block
@@ -878,10 +743,6 @@ def _fmt(x: Any) -> str:
     if isinstance(x, int):
         return str(x)
     if isinstance(x, float):
-        if math.isnan(x):
-            return "nan"
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
         return f"{x:.4g}"
     return str(x)
 
@@ -1080,13 +941,80 @@ def _md_survival(block: dict, lines: list[str]) -> None:
             )
 
 
-_MD_SECTIONS = {
-    "accuracy": ("Binary accuracy", _md_accuracy),
-    "qc": ("QC-failure triage", _md_qc),
-    "riskscore": ("Risk-score validation", _md_riskscore),
-    "agreement": ("Method agreement", _md_agreement),
-    "precision": ("Precision components", _md_precision),
-    "survival": ("Time-to-event validation", _md_survival),
+def _check_riskscore(params: dict) -> None:
+    if ("train_prev" in params) != ("target_prev" in params):
+        raise PlanError("riskscore.train_prev and riskscore.target_prev must be given together "
+                        "(--train-prev, --target-prev)")
+    if "cutoffs" in params and sorted(params["cutoffs"]) != params["cutoffs"]:
+        raise PlanError("riskscore.cutoffs must be ascending")
+
+
+# Every analysis in report order. Each is described here once: the plan
+# validator, the column checks, the CLI subcommands, `run_plan` and
+# `render_markdown` all read this registry.
+ANALYSES: dict[str, Analysis] = {
+    "accuracy": Analysis(
+        "Binary accuracy",
+        (
+            Param("goal", _UNIT, "performance goal tested one-sided for sensitivity and specificity"),
+            Param("alpha", _UNIT, "goal-test significance level", default=0.05),
+            Param("pretest", _UNIT, "pre-test risk for post-test risk read-off"),
+        ),
+        _run_accuracy,
+        _md_accuracy,
+    ),
+    "qc": Analysis(
+        "QC-failure triage",
+        (),
+        _run_qc,
+        _md_qc,
+    ),
+    "riskscore": Analysis(
+        "Risk-score validation",
+        (
+            Param("calibration", _CALIBRATION, "recalibrate the intercept ('large') or also the slope",
+                  default="slope"),
+            Param("bins", _BINS, "calibration bins", default=10),
+            Param("train_prev", _UNIT, "development prevalence for scaling"),
+            Param("target_prev", _UNIT, "deployment prevalence for scaling"),
+            Param("cutoffs", _UNITS, "ascending risk-strata cutoffs, e.g. 0.2,0.5"),
+            Param("thresholds", _UNITS, "threshold-grid thresholds (default 0.1,0.2,...,0.9)"),
+            Param("dca_grid", _UNITS, "decision-curve thresholds"),
+        ),
+        _run_riskscore,
+        _md_riskscore,
+        _check_riskscore,
+    ),
+    "agreement": Analysis(
+        "Method agreement",
+        (
+            Param("x_col", _COLUMN, "column with the first method's values", required=True, column=_NUMERIC),
+            Param("y_col", _COLUMN, "column with the second method's values", required=True, column=_NUMERIC),
+            Param("lambda", _POSITIVE, "error-variance ratio (default 1)"),
+        ),
+        _run_agreement,
+        _md_agreement,
+    ),
+    "precision": Analysis(
+        "Precision components",
+        (
+            Param("condition_fields", _FIELDS, "record fields whose combinations define a condition",
+                  default=["operator_id", "device_unit_id"], column=_FIELD),
+        ),
+        _run_precision,
+        _md_precision,
+    ),
+    "survival": Analysis(
+        "Time-to-event validation",
+        (
+            Param("groups_by", _GROUP, "record field or covariate defining risk groups", column=_EITHER),
+            Param("horizon", _NONNEGATIVE, "time for risk read-off"),
+            Param("baseline_covariates", _COVARIATES, "baseline model columns", column=_NUMERIC),
+            Param("added_covariates", _COVARIATES, "columns added on top of baseline", column=_NUMERIC),
+        ),
+        _run_survival,
+        _md_survival,
+    ),
 }
 
 
@@ -1107,18 +1035,17 @@ def render_markdown(report: ValidationReport) -> str:
         lines.append("")
         for w in report.warnings:
             lines.append(f"- {w}")
-    for name in ANALYSES:
+    for name, analysis in ANALYSES.items():
         if name not in report.results:
             continue
-        title, renderer = _MD_SECTIONS[name]
         lines.append("")
-        lines.append(f"## {title}")
+        lines.append(f"## {analysis.title}")
         lines.append("")
         block = report.results[name]
         if "error" in block:
             lines.append(f"Analysis failed: {block['error']}")
         else:
-            renderer(_sanitize(block), lines)
+            analysis.render(_sanitize(block), lines)
     lines.append("")
     return "\n".join(lines)
 

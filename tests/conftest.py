@@ -75,6 +75,60 @@ def scores_10k_plan(tmp_path_factory):
     return d / "plan_scores_10k.json"
 
 
+@pytest.fixture(scope="session")
+def cohort_10k_plan(tmp_path_factory):
+    """A seeded 10,000-subject cohort CSV and its plan; returns the plan path.
+
+    The plan enables accuracy, qc, agreement and survival (site groups, a
+    horizon, and a baseline plus an added covariate). Follow-up is in whole
+    days, so the KM curves, and km.csv with them, stay short; the two lab
+    columns are integers, so bland_altman.csv holds short values.
+    """
+    d = tmp_path_factory.mktemp("cohort_10k")
+    rng = np.random.default_rng([20261018, 10_001])
+    n = 10_000
+    site = rng.integers(0, 3, n)
+    diseased = rng.random(n) < 0.3
+    flagged = rng.random(n) < np.where(diseased, 0.85, 0.1)
+    age = rng.integers(40, 90, n)
+    marker = np.round(rng.normal(0.0, 1.0, n), 2)
+    hazard = 0.002 * np.exp(0.03 * (age - 65) + 0.4 * marker)
+    event_time = rng.exponential(1.0 / hazard)
+    censor_time = rng.uniform(30.0, 365.0, n)
+    event = event_time <= censor_time
+    days = np.maximum(1, np.ceil(np.minimum(event_time, censor_time))).astype(int)
+    lab_a = rng.integers(50, 200, n)
+    lab_b = lab_a + rng.integers(-6, 8, n)
+    lines = ["subject_id,site_id,truth,output,time,event,age,marker,lab_a,lab_b"]
+    for i in range(n):
+        truth = "pos" if diseased[i] else "neg"
+        output = "pos" if flagged[i] else "neg"
+        lines.append(
+            f"c{i:05d},site-{'abc'[site[i]]},{truth},{output},{days[i]},{int(event[i])},"
+            f"{age[i]},{marker[i]:.2f},{lab_a[i]},{lab_b[i]}"
+        )
+    (d / "cohort_10k.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    plan = {
+        "dataset": "cohort_10k.csv",
+        "analyses": ["accuracy", "qc", "agreement", "survival"],
+        "level": 0.95,
+        "ci_method": "cp",
+        "seed": 42,
+        "params": {
+            "accuracy": {"goal": 0.8, "pretest": 0.2},
+            "agreement": {"x_col": "lab_a", "y_col": "lab_b"},
+            "survival": {
+                "groups_by": "site_id",
+                "horizon": 180,
+                "baseline_covariates": ["age"],
+                "added_covariates": ["marker"],
+            },
+        },
+    }
+    (d / "plan_cohort_10k.json").write_text(json.dumps(plan, indent=2), encoding="utf-8")
+    return d / "plan_cohort_10k.json"
+
+
 def binary_record(subject_id, truth, label, site_id="site-1", **kwargs):
     return ValidationRecord(
         subject_id=subject_id,

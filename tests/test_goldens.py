@@ -6,7 +6,9 @@ formatting or a plot CSV fails here; regenerate the goldens only for a change
 that is meant to alter reports, and say why in CHANGES.md.
 
 `tests/goldens/plan_scores_10k/` is the same output for the seeded
-10,000-row risk-score plan that the `scores_10k_plan` fixture writes.
+10,000-row risk-score plan that the `scores_10k_plan` fixture writes, and
+`tests/goldens/plan_cohort_10k/` for the 10,000-subject accuracy, qc,
+agreement and survival plan that the `cohort_10k_plan` fixture writes.
 """
 
 from pathlib import Path
@@ -45,3 +47,17 @@ def test_scores_10k_plan_matches_golden_bytes(tmp_path, scores_10k_plan, capsys)
     assert sorted(p.name for p in out.iterdir()) == expected
     for name in expected:
         assert (out / name).read_bytes() == (GOLDENS / "plan_scores_10k" / name).read_bytes(), name
+
+
+def test_cohort_10k_plan_matches_golden_bytes(tmp_path, cohort_10k_plan, capsys):
+    out = tmp_path / "plan_cohort_10k"
+    rc = cli_main([
+        "run", "--plan", str(cohort_10k_plan), "--seed", "42", "--format", "md", "--out", str(out),
+    ])
+    capsys.readouterr()
+    assert rc == 0
+    expected = sorted(p.name for p in (GOLDENS / "plan_cohort_10k").iterdir())
+    assert expected == ["bland_altman.csv", "km.csv", "report.json", "report.md"]
+    assert sorted(p.name for p in out.iterdir()) == expected
+    for name in expected:
+        assert (out / name).read_bytes() == (GOLDENS / "plan_cohort_10k" / name).read_bytes(), name
