@@ -41,7 +41,6 @@ from .dataset import (
     OutputKind,
     Survival,
     ValidationRecord,
-    descriptive_summary,
     ingest_csv,
     serialize_records,
     validate_records,
@@ -83,9 +82,6 @@ from .riskscore import (
     calibration_plot,
     decision_curve,
     fit_recalibration,
-    inv_logit,
-    logit,
-    predictiveness_curve,
     prevalence_scale,
     risk_strata_analysis,
     roc_curve,
@@ -99,11 +95,9 @@ from .survival import (
     added_value_lrt,
     chi_square_sf,
     cox_fit,
-    km_calibration_check,
     km_estimate,
     km_risk_at,
     logrank,
-    predicted_risk_histograms,
 )
 
 # Everything imported above is public: the names, not the submodules.

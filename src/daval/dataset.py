@@ -44,13 +44,10 @@ __all__ = [
     "IngestResult",
     "StudyTable",
     "IntegrityReport",
-    "StratumSummary",
-    "DatasetSummary",
     "CANONICAL_COLUMNS",
     "ingest_csv",
     "serialize_records",
     "validate_records",
-    "descriptive_summary",
 ]
 
 CANONICAL_COLUMNS = (
@@ -74,9 +71,6 @@ class Label(Enum):
 
     POSITIVE = "pos"
     NEGATIVE = "neg"
-
-    def flipped(self) -> "Label":
-        return Label.NEGATIVE if self is Label.POSITIVE else Label.POSITIVE
 
 
 class OutputKind(Enum):
@@ -711,89 +705,4 @@ def validate_records(records: StudyTable | Sequence[ValidationRecord]) -> Integr
         n_missing_truth=n_missing_truth,
         site_counts=tuple(sorted(site_counts.items())),
         warnings=tuple(warnings),
-    )
-
-
-@dataclass(frozen=True)
-class StratumSummary:
-    stratum: tuple[tuple[str, str], ...]  # (field, value) pairs, empty for pooled
-    n: int
-    n_with_truth: int
-    prevalence: float | None
-    output_counts: tuple[tuple[str, int], ...]
-
-
-@dataclass(frozen=True)
-class DatasetSummary:
-    n: int
-    pooled: StratumSummary
-    strata: tuple[StratumSummary, ...]
-    missingness: tuple[tuple[str, float], ...]
-    site_counts: tuple[tuple[str, int], ...]
-
-
-_RECORD_FIELDS = ("site_id", "operator_id", "device_unit_id", "subject_id")
-
-
-def _stratum_value(record: ValidationRecord, fld: str) -> str:
-    if fld in _RECORD_FIELDS:
-        value = getattr(record, fld)
-        return "missing" if value is None else str(value)
-    if fld in record.covariates:
-        return repr(record.covariates[fld])
-    return "missing"
-
-
-def _summarize(records: Sequence[ValidationRecord], key: tuple) -> StratumSummary:
-    with_truth = [r for r in records if r.truth is not None]
-    n_pos = sum(1 for r in with_truth if r.truth is Label.POSITIVE)
-    counts = Counter(r.output.kind.value for r in records)
-    return StratumSummary(
-        stratum=key,
-        n=len(records),
-        n_with_truth=len(with_truth),
-        prevalence=n_pos / len(with_truth) if with_truth else None,
-        output_counts=tuple(sorted(counts.items())),
-    )
-
-
-def descriptive_summary(
-    records: Sequence[ValidationRecord], strata_fields: Sequence[str] = ()
-) -> DatasetSummary:
-    """Per-stratum counts, prevalence, and device-output distribution.
-
-    ``strata_fields`` may name record keys (site_id, operator_id,
-    device_unit_id) or covariate columns; strata are the observed joint
-    values, so empty strata never appear.
-    """
-    known_covariates = {name for r in records for name in r.covariates}
-    for fld in strata_fields:
-        if fld not in _RECORD_FIELDS and fld not in known_covariates:
-            raise ValueError(f"unknown stratum field {fld!r}")
-
-    groups: dict[tuple, list[ValidationRecord]] = {}
-    for r in records:
-        key = tuple((fld, _stratum_value(r, fld)) for fld in strata_fields)
-        groups.setdefault(key, []).append(r)
-
-    strata = tuple(
-        _summarize(group, key) for key, group in sorted(groups.items()) if strata_fields
-    )
-
-    n = len(records)
-    missingness: list[tuple[str, float]] = []
-    if n:
-        missingness.append(("truth", sum(r.truth is None for r in records) / n))
-        missingness.append(("survival", sum(r.survival is None for r in records) / n))
-        for fld in ("operator_id", "device_unit_id", "replicate_index"):
-            missingness.append((fld, sum(getattr(r, fld) is None for r in records) / n))
-        for name in sorted(known_covariates):
-            missingness.append((name, sum(name not in r.covariates for r in records) / n))
-
-    return DatasetSummary(
-        n=n,
-        pooled=_summarize(records, ()),
-        strata=strata,
-        missingness=tuple(missingness),
-        site_counts=tuple(sorted(Counter(r.site_id for r in records).items())),
     )

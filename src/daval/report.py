@@ -36,6 +36,7 @@ from .accuracy import (
 from .agreement import bland_altman, deming, variance_components
 from .dataset import (
     CANONICAL_COLUMNS,
+    IngestResult,
     OutputKind,
     StudyTable,
     first_row,
@@ -81,11 +82,11 @@ __all__ = [
 ]
 
 _PLAN_KEYS = {"dataset", "analyses", "mapping", "level", "ci_method", "seed", "params"}
-_RECORD_GROUP_FIELDS = ("site_id", "operator_id", "device_unit_id")
+_RECORD_GROUP_FIELDS = ("site_id", "operator_id", "device_unit_id", "replicate_index")
 # Column kinds: the record fields a column parameter may name, and whether it
 # may name a numeric dataset column instead.
 _NUMERIC = ((), True)
-_FIELD = (_RECORD_GROUP_FIELDS + ("replicate_index",), False)
+_FIELD = (_RECORD_GROUP_FIELDS, False)
 _EITHER = (_RECORD_GROUP_FIELDS, True)
 
 
@@ -330,9 +331,11 @@ def _header_columns(text: str, path: Path) -> list[str]:
     return [name.strip() for name in header]
 
 
-def _check_columns(plan: AnalysisPlan, header: list[str], excluded: tuple[str, ...]) -> None:
-    """Refuse a plan that names a column the dataset lacks, or, where it needs
-    numbers, a column ingest excluded as text."""
+def _check_columns(plan: AnalysisPlan, header: list[str], result: IngestResult) -> None:
+    """Refuse a plan whose numeric parameter names anything but a covariate
+    column of the ingested table: a column the dataset lacks, one ingest
+    excluded as text, or one it read as a canonical column."""
+    covariates = set(result.table.covariate_names)
     for name in plan.analyses:
         params = plan.params[name]
         for param in ANALYSES[name].params:
@@ -341,19 +344,22 @@ def _check_columns(plan: AnalysisPlan, header: list[str], excluded: tuple[str, .
             fields, numeric = param.column
             key, value = f"{name}.{param.name}", params[param.name]
             for col in value if isinstance(value, list) else [value]:
-                if col in fields:
+                if col in fields or (numeric and col in covariates):
                     continue
                 if not numeric:
                     raise PlanError(f"{key} {col!r} is not a record field")
-                if col not in header:
-                    if fields:
-                        raise PlanError(f"{key} {col!r} is neither a record field nor a column")
-                    raise PlanError(f"{key} column {col!r} not in dataset")
-                if col in excluded:
+                if col in result.excluded_columns:
                     raise PlanError(
                         f"{key} column {col!r} was excluded by ingest as non-numeric; "
                         f"{key} needs a numeric column"
                     )
+                if col in header:
+                    raise PlanError(
+                        f"{key} column {col!r} is a canonical column, not a numeric covariate"
+                    )
+                if fields:
+                    raise PlanError(f"{key} {col!r} is neither a record field nor a column")
+                raise PlanError(f"{key} column {col!r} not in dataset")
 
 
 def _block(result: Any, *names: str) -> Any:
@@ -655,7 +661,7 @@ def run_plan(plan: AnalysisPlan) -> ValidationReport:
             raise PlanError(f"mapped column {actual!r} (for {canonical}) not in dataset")
     result = ingest_csv(io.StringIO(text, newline=""), mapping=plan.mapping or None)
     del text
-    _check_columns(plan, header, result.excluded_columns)
+    _check_columns(plan, header, result)
     if result.errors:
         first = "; ".join(f"row {e.row}: {e.message}" for e in result.errors[:5])
         raise IngestError(f"{len(result.errors)} bad rows in {plan.dataset} ({first})")
@@ -1051,10 +1057,15 @@ def render_markdown(report: ValidationReport) -> str:
 
 
 def _csv_row(fields: Iterable[str]) -> str:
-    """One row as `csv.writer` writes it, line end included."""
+    r"""One row as `csv.writer` writes it, ended by `\n`.
+
+    The writer quotes the characters of its terminator, so it writes with
+    `\r\n`: a `\n` one would leave a bare `\r` unquoted, where a reader
+    splits the row.
+    """
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow(fields)
-    return buf.getvalue()
+    csv.writer(buf, lineterminator="\r\n").writerow(fields)
+    return buf.getvalue()[:-2] + "\n"
 
 
 def _csv_column(column: PlotColumn) -> list[str]:

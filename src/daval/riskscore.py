@@ -39,12 +39,9 @@ __all__ = [
     "DecisionCurve",
     "RiskStratum",
     "RiskStrata",
-    "logit",
-    "inv_logit",
     "fit_recalibration",
     "calibration_plot",
     "prevalence_scale",
-    "predictiveness_curve",
     "roc_curve",
     "auc_ci",
     "threshold_grid",
@@ -65,20 +62,6 @@ SEPARATION_RESIDUAL_EPS = 1e-6
 
 class PerfectSeparationError(RuntimeError):
     """The recalibration likelihood is monotone (perfectly separated data)."""
-
-
-def logit(p: float) -> float:
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"logit requires p in (0, 1), got {p}")
-    return math.log(p / (1.0 - p))
-
-
-def inv_logit(x: float) -> float:
-    # Branch on sign to avoid overflow in exp for large |x|.
-    if x >= 0:
-        return 1.0 / (1.0 + math.exp(-x))
-    e = math.exp(x)
-    return e / (1.0 + e)
 
 
 class CalibrationMode(Enum):
@@ -305,15 +288,6 @@ def prevalence_scale(p, train_prev, target_prev):
     return p * r / (p * r + (1 - p))
 
 
-def predictiveness_curve(scores: Sequence[float]) -> list[tuple[float, float]]:
-    """Sorted predicted risks against their empirical quantiles (i/n for i=1..n)."""
-    s = np.sort(np.asarray(scores, dtype=float))
-    if len(s) == 0:
-        raise ValueError("empty scores")
-    n = len(s)
-    return [((i + 1) / n, float(s[i])) for i in range(n)]
-
-
 @dataclass(frozen=True)
 class RocCurve:
     thresholds: np.ndarray  # descending, starts at +inf for the (0, 0) anchor
@@ -323,10 +297,6 @@ class RocCurve:
     auc_se: float
     n_pos: int
     n_neg: int
-
-    @property
-    def points(self) -> list[tuple[float, float, float]]:
-        return list(zip(self.thresholds.tolist(), self.tpr.tolist(), self.fpr.tolist()))
 
     def trapezoid_auc(self) -> float:
         widths = np.diff(self.fpr)

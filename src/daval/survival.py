@@ -1,9 +1,9 @@
 """Time-to-event validation of prognostic outputs.
 
 Kaplan-Meier product-limit estimation with Greenwood variance and log-log
-confidence intervals, risk read-off and calibration checks at a horizon,
-the k-group log-rank test, Cox partial-likelihood fitting with Breslow tie
-handling, and likelihood ratio tests for added biomarkers.
+confidence intervals, risk read-off at a horizon, the k-group log-rank test,
+Cox partial-likelihood fitting with Breslow tie handling, and likelihood
+ratio tests for added biomarkers.
 
 Chi-square tail probabilities come from a local regularized incomplete gamma
 (power series below the a+1 crossover, modified Lentz continued fraction
@@ -29,19 +29,15 @@ __all__ = [
     "MonotoneLikelihoodError",
     "KMCurve",
     "KMRiskAt",
-    "KMCalibration",
     "LogrankResult",
     "CoxFit",
     "LrtResult",
-    "HistogramPair",
     "chi_square_sf",
     "km_estimate",
     "km_risk_at",
-    "km_calibration_check",
     "logrank",
     "cox_fit",
     "added_value_lrt",
-    "predicted_risk_histograms",
     "survival_arrays",
     "covariate_matrix",
 ]
@@ -233,29 +229,6 @@ def km_risk_at(curve: KMCurve, t: float, level: float = 0.95) -> KMRiskAt:
         lower=1.0 - hi,
         upper=1.0 - lo,
         extrapolated=t > curve.max_followup,
-    )
-
-
-@dataclass(frozen=True)
-class KMCalibration:
-    mean_predicted: float
-    observed: float
-    difference: float  # positive means over-prediction
-
-
-def km_calibration_check(
-    predicted_risks: Sequence[float], curve: KMCurve, t: float
-) -> KMCalibration:
-    """Group mean predicted risk at horizon t against the observed 1 - S(t)."""
-    p = np.asarray(predicted_risks, dtype=float)
-    if len(p) == 0:
-        raise ValueError("empty group")
-    if np.any((p < 0.0) | (p > 1.0)):
-        raise ValueError("predicted risks must lie in [0, 1]")
-    observed = km_risk_at(curve, t).risk
-    mean_pred = float(np.mean(p))
-    return KMCalibration(
-        mean_predicted=mean_pred, observed=observed, difference=mean_pred - observed
     )
 
 
@@ -570,30 +543,6 @@ def added_value_lrt(baseline: CoxFit, full: CoxFit, added_df: int) -> LrtResult:
         )
     stat = max(stat, 0.0)
     return LrtResult(statistic=stat, df=added_df, p_value=chi_square_sf(stat, added_df))
-
-
-@dataclass(frozen=True)
-class HistogramPair:
-    edges: np.ndarray
-    baseline_counts: np.ndarray
-    full_counts: np.ndarray
-
-
-def predicted_risk_histograms(
-    baseline_risks: Sequence[float], full_risks: Sequence[float], n_bins: int
-) -> HistogramPair:
-    """Histograms of predicted risks on shared [0, 1] bin edges."""
-    if n_bins < 1:
-        raise ValueError("n_bins must be >= 1")
-    b = np.asarray(baseline_risks, dtype=float)
-    f = np.asarray(full_risks, dtype=float)
-    for arr in (b, f):
-        if np.any((arr < 0.0) | (arr > 1.0)):
-            raise ValueError("risks must lie in [0, 1]")
-    edges = np.linspace(0.0, 1.0, n_bins + 1)
-    b_counts, _ = np.histogram(b, bins=edges)
-    f_counts, _ = np.histogram(f, bins=edges)
-    return HistogramPair(edges=edges, baseline_counts=b_counts, full_counts=f_counts)
 
 
 def survival_arrays(

@@ -1,5 +1,6 @@
 """Plan validation, report assembly, file emission, and the command line."""
 
+import csv
 import json
 import os
 
@@ -203,6 +204,28 @@ def test_referenced_columns_checked_before_compute(tmp_path):
     )
     with pytest.raises(PlanError, match="gold_standard"):
         run_plan(plan3)
+
+
+def test_km_group_name_with_a_bare_carriage_return_reads_back(tmp_path):
+    # csv.writer with a `\n` terminator leaves a bare `\r` unquoted, and a
+    # reader then splits the row there; the plot CSVs quote it.
+    data = tmp_path / "d.csv"
+    data.write_text(
+        "subject_id,site_id,output,time,event\n"
+        's1,"a\rb",pos,1.0,1\n'
+        's2,"a\rb",neg,2.0,1\n'
+        's3,c,neg,1.5,1\n',
+        encoding="utf-8",
+        newline="",
+    )
+    plan = plan_from_dict(plan_dict(data, ["survival"], params={"survival": {"groups_by": "site_id"}}))
+    emit_report(run_plan(plan), tmp_path / "out")
+    with open(tmp_path / "out" / "km.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["group", "time", "survival", "lower", "upper", "at_risk"]
+    assert [r[0] for r in rows[1:]] == ["all"] * 3 + ["a\rb"] * 2 + ["c"]
+    assert [r[1] for r in rows[1:]] == ["1.0", "1.5", "2.0", "1.0", "2.0", "1.5"]
+    assert all(len(r) == 6 for r in rows)
 
 
 def test_analysis_failure_is_isolated(tmp_path):

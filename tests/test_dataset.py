@@ -1,4 +1,4 @@
-"""Ingest, serialization round-trip, integrity checks, and summaries."""
+"""Ingest, serialization round-trip, and integrity checks."""
 
 import pytest
 
@@ -9,7 +9,6 @@ from daval.dataset import (
     OutputKind,
     Survival,
     ValidationRecord,
-    descriptive_summary,
     ingest_csv,
     serialize_records,
     validate_records,
@@ -309,52 +308,6 @@ def test_site_imbalance_warning():
     assert any("imbalance" in w for w in report.warnings)
 
 
-def test_summary_prevalence_and_missingness():
-    records = [
-        binary_record(f"s{i}", Label.POSITIVE, Label.POSITIVE) for i in range(4)
-    ] + [binary_record(f"t{i}", Label.NEGATIVE, Label.NEGATIVE) for i in range(6)]
-    summary = descriptive_summary(records)
-    assert summary.n == 10
-    assert summary.pooled.prevalence == pytest.approx(0.4)
-    assert summary.pooled.n_with_truth == 10
-    missing = dict(summary.missingness)
-    assert missing["truth"] == 0.0
-    assert missing["survival"] == 1.0
-
-
-def test_summary_strata_by_site():
-    records = [
-        binary_record(f"s{i}", Label.POSITIVE, Label.POSITIVE, site_id="a")
-        for i in range(6)
-    ] + [
-        binary_record(f"t{i}", Label.NEGATIVE, Label.NEGATIVE, site_id="b")
-        for i in range(4)
-    ]
-    summary = descriptive_summary(records, strata_fields=["site_id"])
-    assert [s.n for s in summary.strata] == [6, 4]
-    assert [s.stratum for s in summary.strata] == [
-        (("site_id", "a"),),
-        (("site_id", "b"),),
-    ]
-    # pooled prevalence equals the count-weighted mean of stratum prevalences
-    weighted = sum(s.n * s.prevalence for s in summary.strata) / summary.n
-    assert summary.pooled.prevalence == pytest.approx(weighted)
-    assert sum(s.n for s in summary.strata) == summary.n
-
-
-def test_summary_unknown_stratum_field_raises():
-    records = [binary_record("s1", Label.POSITIVE, Label.POSITIVE)]
-    with pytest.raises(ValueError, match="unknown stratum field"):
-        descriptive_summary(records, strata_fields=["hospital"])
-
-
-def test_summary_prevalence_none_without_truth():
-    records = [score_record("s1", 0.5), score_record("s2", 0.6)]
-    summary = descriptive_summary(records)
-    assert summary.pooled.prevalence is None
-    assert summary.pooled.n_with_truth == 0
-
-
 def test_record_constructor_validation():
     with pytest.raises(ValueError):
         ValidationRecord(subject_id="", site_id="a", output=DeviceOutput.ungradable())
@@ -384,8 +337,3 @@ def test_truth_values_accept_long_and_short_forms(tmp_path):
         Label.NEGATIVE,
         Label.NEGATIVE,
     ]
-
-
-def test_label_flip_is_involutive():
-    assert Label.POSITIVE.flipped() is Label.NEGATIVE
-    assert Label.NEGATIVE.flipped().flipped() is Label.NEGATIVE

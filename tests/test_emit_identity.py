@@ -1,11 +1,13 @@
-"""Columnar plot CSVs are byte-identical to the row-wise writer they replace.
+r"""Columnar plot CSVs are byte-identical to the row-wise writer they replace.
 
 `emit_report` formats each plot column in one pass and writes each file with
-one call. The reference below is the earlier writer, kept verbatim: one
-`csv.writer.writerow` per row, with every float cell written as its `repr`
-and every other cell as its `str`. On generated columns (floats with their
-special values, int64 extremes, and text that needs quoting) both must write
-the same bytes.
+one call. The reference below is the earlier writer: one `csv.writer.writerow`
+per row, with every float cell written as its `repr` and every other cell as
+its `str`. It differs in one way only: that writer's `\n` terminator left a
+field holding a bare `\r` unquoted, so a reader split its row there; the
+reference quotes such a field, as a `\r\n` terminator does. On generated
+columns (floats with their special values, int64 extremes, and text that
+needs quoting) both must write the same bytes.
 """
 
 import csv
@@ -36,12 +38,12 @@ def _csv_cell(value):
 
 
 def _reference_bytes(header, rows) -> bytes:
-    buf = io.StringIO(newline="")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_csv_cell(v) for v in row])
-    return buf.getvalue().encode("utf-8")
+    lines = []
+    for row in [header] + [[_csv_cell(v) for v in row] for row in rows]:
+        buf = io.StringIO(newline="")
+        csv.writer(buf, lineterminator="\r\n").writerow(row)
+        lines.append(buf.getvalue()[:-2] + "\n")
+    return "".join(lines).encode("utf-8")
 
 
 def _column(kind: str, n: int):

@@ -191,7 +191,8 @@ def test_plan_parameter_errors(analysis, params, pattern):
         plan_from_dict(raw)
 
 
-# (analysis, parameters, mapping, pattern): each names a column demo.csv lacks.
+# (analysis, parameters, mapping, pattern): each names a column demo.csv lacks,
+# or where numbers are needed, one that ingest reads as a canonical column.
 # A pattern with alternatives accepts the key-named wording of the message.
 COLUMN_ERRORS = [
     ("qc", {}, {"truth": "gold"}, _exact("mapped column 'gold' (for truth) not in dataset")),
@@ -205,6 +206,18 @@ COLUMN_ERRORS = [
      _exact("survival.groups_by 'zzz' is neither a record field nor a column")),
     ("precision", {"condition_fields": ["operator_id", "age"]}, {},
      r"^precision(\.condition_fields| condition field) 'age' is not a record field$"),
+    ("agreement", {"x_col": "time", "y_col": "age"}, {},
+     _exact("agreement.x_col column 'time' is a canonical column, not a numeric covariate")),
+    ("agreement", {"x_col": "age", "y_col": "score"}, {},
+     _exact("agreement.y_col column 'score' is a canonical column, not a numeric covariate")),
+    ("survival", {"baseline_covariates": ["time"]}, {},
+     _exact("survival.baseline_covariates column 'time' is a canonical column, not a numeric covariate")),
+    ("survival", {"baseline_covariates": ["age"], "added_covariates": ["event"]}, {},
+     _exact("survival.added_covariates column 'event' is a canonical column, not a numeric covariate")),
+    ("survival", {"groups_by": "subject_id"}, {},
+     _exact("survival.groups_by column 'subject_id' is a canonical column, not a numeric covariate")),
+    ("survival", {"baseline_covariates": ["marker"]}, {"time": "marker"},
+     _exact("survival.baseline_covariates column 'marker' is a canonical column, not a numeric covariate")),
 ]
 
 

@@ -16,9 +16,6 @@ from daval.riskscore import (
     calibration_plot,
     decision_curve,
     fit_recalibration,
-    inv_logit,
-    logit,
-    predictiveness_curve,
     prevalence_scale,
     risk_strata_analysis,
     roc_curve,
@@ -44,16 +41,6 @@ def random_scored_dataset(gen, max_n=30):
     scores = rng.integers(0, 11, size=n) / 10.0
     scores = np.clip(scores, 0.01, 0.99)
     return scores, outcomes
-
-
-def test_logit_inv_logit_round_trip():
-    assert logit(0.5) == 0.0
-    assert inv_logit(logit(0.3)) == pytest.approx(0.3, abs=1e-12)
-    assert logit(0.7) == pytest.approx(-logit(0.3), abs=1e-12)
-    assert inv_logit(-800.0) == pytest.approx(0.0, abs=1e-300)
-    for bad in (0.0, 1.0, -0.2, 1.2):
-        with pytest.raises(ValueError):
-            logit(bad)
 
 
 def test_recalibration_symmetric_outcomes_give_flat_fit():
@@ -165,22 +152,6 @@ def test_prevalence_scale_monotone_and_validated():
         prevalence_scale(0.0, 0.4, 0.1)
     with pytest.raises(ValueError):
         prevalence_scale(0.5, 1.0, 0.1)
-
-
-def test_predictiveness_curve_worked_example():
-    pts = predictiveness_curve([0.9, 0.2, 0.4])
-    assert pts == [
-        (pytest.approx(1 / 3), pytest.approx(0.2)),
-        (pytest.approx(2 / 3), pytest.approx(0.4)),
-        (pytest.approx(1.0), pytest.approx(0.9)),
-    ]
-
-
-def test_predictiveness_curve_mean_matches_scores():
-    rng = SeededGenerator(205).generator()
-    scores = rng.uniform(0.01, 0.99, size=200)
-    pts = predictiveness_curve(scores)
-    assert np.mean([risk for _, risk in pts]) == pytest.approx(float(np.mean(scores)))
 
 
 def test_roc_perfect_separation():

@@ -262,6 +262,26 @@ def test_survival_groups_by_text_column_fails_before_any_analysis(tmp_path):
         _run(data, ["qc", "survival"], survival={"groups_by": "arm"})
 
 
+REPLICATE_ROWS = ["s1,pos,1.0,1,0", "s2,neg,2.0,0,1", "s3,neg,3.0,1,0"]
+
+
+def test_survival_groups_by_replicate_index_reads_the_record_field(tmp_path):
+    data = _write(tmp_path / "d.csv", "subject_id,output,time,event,replicate_index", REPLICATE_ROWS)
+    report = _run(data, ["survival"], survival={"groups_by": "replicate_index"})
+    assert not report.has_failures
+    groups = report.results["survival"]["groups"]
+    assert sorted(groups) == ["0", "1"]
+    assert (groups["0"]["n"], groups["1"]["n"]) == (2, 1)
+
+
+def test_survival_groups_by_replicate_index_from_the_command_line(tmp_path, capsys):
+    data = _write(tmp_path / "d.csv", "subject_id,output,time,event,replicate_index", REPLICATE_ROWS)
+    assert cli_main(["survival", str(data), "--groups-by", "replicate_index"]) == 0
+    block = json.loads(capsys.readouterr().out)["results"]["survival"]
+    assert block["groups_by"] == "replicate_index"
+    assert sorted(block["groups"]) == ["0", "1"]
+
+
 @pytest.mark.parametrize(
     "analysis, params, key",
     [

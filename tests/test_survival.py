@@ -15,11 +15,9 @@ from daval.survival import (
     chi_square_sf,
     covariate_matrix,
     cox_fit,
-    km_calibration_check,
     km_estimate,
     km_risk_at,
     logrank,
-    predicted_risk_histograms,
     survival_arrays,
 )
 from conftest import score_record, survival_record
@@ -148,31 +146,12 @@ def test_km_risk_monotone_in_horizon():
     assert risks == sorted(risks)
 
 
-def test_km_calibration_exact_and_simulated():
-    curve = km_estimate([1.0, 2.0, 3.0], [True, False, True])
-    observed = km_risk_at(curve, 1.0).risk
-    cal = km_calibration_check([observed, observed], curve, 1.0)
-    assert cal.difference == pytest.approx(0.0, abs=1e-15)
-
-    # over-prediction produces a positive difference by convention
-    over = km_calibration_check([min(observed + 0.2, 1.0)] * 3, curve, 1.0)
-    assert over.difference > 0
-
-    with pytest.raises(ValueError):
-        km_calibration_check([1.5], curve, 1.0)
-    with pytest.raises(ValueError):
-        km_calibration_check([], curve, 1.0)
-
-
 def test_km_calibration_on_calibrated_simulation():
     records = simulate_survival(2000, 0.5, 0.0, 0.1, SeededGenerator(304))
     times, events = survival_arrays(records)
     curve = km_estimate(times, events)
     median = math.log(2.0) / 0.5
     assert curve.survival_at(median) == pytest.approx(0.5, abs=0.04)
-    predicted = [1.0 - math.exp(-0.5 * median)] * len(records)
-    cal = km_calibration_check(predicted, curve, median)
-    assert abs(cal.difference) < 0.05
 
 
 def test_logrank_identical_groups_give_zero():
@@ -321,17 +300,6 @@ def test_cox_tie_fraction_reported():
     assert fit.ties_method == "breslow"
 
 
-def test_predicted_risk_histograms_shapes_and_counts():
-    pair = predicted_risk_histograms([0.1, 0.2, 0.9], [0.5, 0.6, 0.7], n_bins=4)
-    assert pair.edges.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
-    assert pair.baseline_counts.sum() == 3
-    assert pair.full_counts.sum() == 3
-    with pytest.raises(ValueError):
-        predicted_risk_histograms([0.1], [0.5], n_bins=0)
-    with pytest.raises(ValueError):
-        predicted_risk_histograms([1.5], [0.5], n_bins=2)
-
-
 def test_prognostic_covariate_spreads_predicted_risks():
     records = simulate_survival(400, 0.4, 1.2, 0.2, SeededGenerator(310))
     times, events = survival_arrays(records)
@@ -344,9 +312,9 @@ def test_prognostic_covariate_spreads_predicted_risks():
     rel = np.exp(fit.coefficients["z"] * z[:, 0])
     full_risks = 1.0 - (1.0 - base_risk) ** rel
     baseline_risks = np.full(len(records), base_risk)
-    pair = predicted_risk_histograms(baseline_risks, np.clip(full_risks, 0, 1), 10)
-    spread_base = np.count_nonzero(pair.baseline_counts)
-    spread_full = np.count_nonzero(pair.full_counts)
+    edges = np.linspace(0.0, 1.0, 11)
+    spread_base = np.count_nonzero(np.histogram(baseline_risks, bins=edges)[0])
+    spread_full = np.count_nonzero(np.histogram(np.clip(full_risks, 0, 1), bins=edges)[0])
     assert spread_full > spread_base
 
 
