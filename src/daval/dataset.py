@@ -28,9 +28,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from itertools import chain
+from itertools import chain, islice, repeat
 from pathlib import Path
-from typing import IO, Callable, Iterable, Mapping, Sequence
+from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -356,31 +356,48 @@ def _resolve_mapping(
     return resolved
 
 
-def _decode(
-    cells: Sequence[str], decode: Callable[[str], object], failed: object, dtype=None
-) -> tuple[list | np.ndarray, dict[str, str]]:
-    """Decode each distinct cell of a column once.
+_CHUNK_ROWS = 65_536  # lines ingest splits and decodes at a time
 
-    Returns the decoded cells in row order (a list, or an array of ``dtype``)
-    and the message of each distinct cell whose decode raised ValueError;
-    those cells decode to ``failed``.
+
+class _Column:
+    """A column decoded chunk by chunk, each distinct cell once: ``values``
+    maps cells to values, ``failures`` maps each cell whose decode raised
+    ValueError (it decodes to ``failed``) to the message. Both carry over to
+    the next chunk until they pass ``_CHUNK_ROWS`` cells, so equal cells share
+    one value and the cache stays bounded. ``parts`` holds each chunk's values.
     """
-    values: dict[str, object] = {}
-    failures: dict[str, str] = {}
-    for raw in set(cells):
-        try:
-            values[raw] = decode(raw)
-        except ValueError as exc:
-            values[raw], failures[raw] = failed, str(exc)
-    if len(values) == 1:  # a constant or empty column
-        (value,) = values.values()
-        if dtype is not None:
-            return np.full(len(cells), value, dtype=dtype), failures
-        return [value] * len(cells), failures
-    if dtype is None and all(raw is value for raw, value in values.items()):
-        return list(cells), failures  # every cell decodes to itself
-    decoded = list(map(values.__getitem__, cells))
-    return (decoded if dtype is None else np.array(decoded, dtype=dtype)), failures
+
+    def __init__(self, decode: Callable[[str], object], failed: object, dtype=None):
+        self.decode, self.failed, self.dtype = decode, failed, dtype
+        self.values, self.failures, self.parts = {}, {}, []
+
+    def add(self, cells: Sequence[str]) -> list | np.ndarray:
+        """The values of one chunk's cells (a list, or an array of ``dtype``), kept."""
+        values = self.values
+        if len(values) > _CHUNK_ROWS:
+            values.clear()
+            self.failures.clear()
+        distinct = set(cells)
+        for raw in distinct.difference(values):
+            try:
+                values[raw] = self.decode(raw)
+            except ValueError as exc:
+                values[raw], self.failures[raw] = self.failed, str(exc)
+        if len(distinct) == 1:  # a constant or empty column
+            value = values[cells[0]]
+            decoded = [value] * len(cells) if self.dtype is None else np.full(len(cells), value, self.dtype)
+        else:
+            decoded = list(map(values.__getitem__, cells))
+            if self.dtype is not None:
+                decoded = np.array(decoded, dtype=self.dtype)
+        self.parts.append(decoded)
+        return decoded
+
+    def joined(self) -> list | np.ndarray:
+        """Every chunk's values, in row order."""
+        if self.dtype is None:
+            return list(chain.from_iterable(self.parts))
+        return np.concatenate(self.parts or [np.empty(0, self.dtype)])
 
 
 def _truth_code(raw: str) -> int:
@@ -464,9 +481,24 @@ def _id_value(raw: str) -> str | None:
     return raw.strip() or None
 
 
-def _covariate_column(cells: Sequence[str], name: str) -> tuple[np.ndarray, dict[str, str]] | None:
-    """An extra column's values (NaN where empty) and the messages of its
-    non-finite cells, or None when a nonempty cell is not a number."""
+# The canonical fields decoded by _Column: decode, failed value and dtype.
+_FIELDS = {
+    "site_id": (lambda raw: raw.strip() or "unknown", None),
+    "truth": (_truth_code, -1, np.int8),
+    "output": (_output_code, 4, np.int8),
+    "score": (_score_value, -1.0, float),
+    "time": (_time_value, -1.0, float),
+    "event": (_event_code, 2, np.int8),
+    "replicate_index": (_replicate_value, None),
+    "operator_id": (_id_value, None),
+    "device_unit_id": (_id_value, None),
+}
+
+
+def _covariate_column(name: str) -> tuple[_Column, dict[str, str]]:
+    """An extra column's decoder (NaN where empty; a nonempty cell that is not
+    a number fails) and the messages of its non-finite cells, filled as it
+    decodes."""
     non_finite: dict[str, str] = {}
 
     def decode(raw: str) -> float:
@@ -478,43 +510,81 @@ def _covariate_column(cells: Sequence[str], name: str) -> tuple[np.ndarray, dict
             non_finite[raw] = f"covariate {name!r} value {text!r} is not finite"
         return value
 
-    values, failures = _decode(cells, decode, math.nan, float)
-    return None if failures else (values, non_finite)
+    return _Column(decode, math.nan, float), non_finite
 
 
-def _read_columns(text: str, source: object) -> tuple[list[str], int, dict[str, list[str]]]:
-    """Stripped header names, the data row count and each name's cells, from
-    one csv pass.
+def _lines(text: str) -> Iterator[str]:
+    """The lines of ``text`` as a file opened with newline="" reads them, from
+    blocks of about ``_CHUNK_ROWS`` 64-character lines, each ending in "\n"."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + 64 * _CHUNK_ROWS) + 1 or len(text)
+        yield from io.StringIO(text[start:end], newline="")
+        start = end
 
-    As with ``csv.DictReader``: blank lines are skipped and not counted, a
-    short row reads empty cells, cells past the header are ignored, and a
-    name that heads two columns reads the last of them.
+
+def _strided(cells: list[str], width: int) -> list[list[str]]:
+    """One list of cells per header position, from the cells of whole rows."""
+    return [cells[j::width] for j in range(width)]
+
+
+def _columns(rows: list[list[str]], width: int) -> list[list[str]]:
+    """One list of cells per header position, from rows cut or padded to ``width``."""
+    if set(map(len, rows)) - {width}:
+        rows = [row[:width] + [""] * (width - len(row)) for row in rows]
+    return _strided(list(chain.from_iterable(rows)), width)
+
+
+def _read_rows(text: str, source: object) -> Iterator:
+    r"""Yield the stripped header names (parsed from the first line alone,
+    unless it holds a quote), then the data rows in chunks of up to
+    ``_CHUNK_ROWS`` lines: each chunk's row count and its cells, one list per
+    header position. Text with no quote, no ``\r`` outside a ``\r\n`` and no
+    line over ``csv.field_size_limit()`` is split on newlines and commas, other
+    text goes through ``csv.reader``; either way, as with ``csv.DictReader``,
+    blank lines are skipped and not counted, a short row reads empty cells and
+    cells past the header are ignored. A field over the limit raises
+    ValueError naming its data row.
     """
-    reader = csv.reader(io.StringIO(text, newline=""))
-    header = next(reader, None)
+    end = text.find("\n") + 1
+    try:
+        header = next(csv.reader(_lines(text[:end] if end and '"' not in text[:end] else text)), None)
+    except csv.Error as exc:
+        raise ValueError(f"{source} header row: {exc}") from None
     if header is None:
         raise ValueError(f"{source} is empty (no header row)")
-    header = [name.strip() for name in header]
-    # The row lists hold only strings, so they cannot form reference cycles.
-    # They are built and freed with the collector off: its passes over them
-    # would find nothing and cost about as much as the parse itself.
-    collect = gc.isenabled()
-    gc.disable()
-    try:
-        rows = list(reader)
-        if [] in rows:
-            rows = [row for row in rows if row]
-        width = len(header)
-        if set(map(len, rows)) - {width}:
-            rows = [row[:width] + [""] * (width - len(row)) for row in rows]
-        n = len(rows)
-        cells = list(chain.from_iterable(rows))
-        del rows
-        columns = [cells[j::width] for j in range(width)]
-    finally:
-        if collect:
-            gc.enable()
-    return header, n, dict(zip(header, columns))
+    yield [name.strip() for name in header]
+    width, limit, returns = len(header), csv.field_size_limit(), text.count("\r")
+    lines = None
+    if '"' not in text and (not returns or returns == text.count("\r\n")):
+        lines = (text.replace("\r\n", "\n") if returns else text).split("\n")
+        if len(text) > limit and max(map(len, lines)) > limit:
+            lines = None  # csv.reader refuses a field over the limit with its row
+    if lines is None:
+        rows, n = csv.reader(_lines(text)), 0
+        next(rows)
+        while True:
+            chunk: list[list[str]] = []
+            try:
+                chunk.extend(islice(rows, _CHUNK_ROWS))  # keeps the rows read before an error
+            except csv.Error as exc:
+                raise ValueError(f"row {n + sum(map(bool, chunk)) + 1}: {exc}") from None
+            if not chunk:
+                return
+            chunk = list(filter(None, chunk))
+            n += len(chunk)
+            if chunk:
+                yield len(chunk), _columns(chunk, width)
+    del text
+    lines.reverse()  # chunks are cut from the end, so each line is freed once read
+    lines.pop()  # the header
+    while lines:
+        chunk = list(filter(None, reversed(lines[-_CHUNK_ROWS:])))
+        del lines[-_CHUNK_ROWS:]
+        if chunk and set(map(str.count, chunk, repeat(","))) == {width - 1}:
+            yield len(chunk), _strided(",".join(chunk).split(","), width)
+        elif chunk:
+            yield len(chunk), _columns([line.split(",") for line in chunk], width)
 
 
 def ingest_csv(
@@ -524,12 +594,12 @@ def ingest_csv(
 ) -> IngestResult:
     """Read a validation dataset from a UTF-8 CSV file into a :class:`StudyTable`.
 
-    ``path`` is a file path, or an open text stream of the file's contents.
-    ``mapping`` translates canonical column names to the file's actual headers;
-    unmapped canonical names are matched by identity when present. Every header
-    not claimed by a canonical column is treated as a covariate column if all
-    of its nonempty cells parse as numbers, and excluded (reported in
-    ``excluded_columns``) otherwise.
+    ``path`` is a file path, or an open text stream of the file's contents; a
+    leading byte-order mark is dropped. ``mapping`` translates canonical column
+    names to the file's actual headers; unmapped canonical names are matched by
+    identity when present. Every header not claimed by a canonical column is
+    treated as a covariate column if all of its nonempty cells parse as
+    numbers, and excluded (reported in ``excluded_columns``) otherwise.
 
     Rows that fail to parse, including non-finite time and covariate cells,
     are collected into ``errors`` with their 1-based data-row number and the
@@ -543,63 +613,68 @@ def ingest_csv(
         text = path.read_bytes().decode("utf-8")
     else:
         text = path.read()
-    header, n, by_name = _read_columns(text, path)
+    chunks = _read_rows(text.removeprefix("\ufeff"), path)
     del text
+    header = next(chunks)
     resolved = _resolve_mapping(header, mapping)
-    blank = ("",) * n
-
-    def cells(canonical: str) -> Sequence[str]:
-        actual = resolved.get(canonical)
-        return blank if actual is None else by_name[actual]
-
     claimed = set(resolved.values())
-    covariates: dict[str, tuple[np.ndarray, dict[str, str]]] = {}
-    excluded = []
-    for col in header:
-        if col not in claimed:
-            parsed = covariates.get(col) or _covariate_column(by_name[col], col)
-            if parsed is None:
-                excluded.append(col)
-            else:
-                covariates[col] = parsed
+    fields = {name: _Column(*spec) for name, spec in _FIELDS.items()}
+    covariates = {col: _covariate_column(col) for col in dict.fromkeys(header) if col not in claimed}
+    # Non-finite covariate cells, filed once it is known which columns are kept.
+    late: list[tuple[int, str, str]] = []
 
     # Checks run in the order the fields are read, and each files its message
     # for a row only when no earlier check has, so a row reports its first fault.
     errors: dict[int, str] = {}
+    subject_id: list[str] = []
+    n = 0
 
     def file(mask: np.ndarray, message: str) -> None:
         for i in np.flatnonzero(mask).tolist():
+            errors.setdefault(n + i, message)
+
+    def file_failures(*names: str) -> None:
+        for name in names:
+            if failures := fields[name].failures:
+                for i, raw in enumerate(cells[name], n):
+                    if raw in failures:
+                        errors.setdefault(i, failures[raw])
+
+    # The row lists parsed here hold only strings: collector passes would find nothing.
+    collect = gc.isenabled()
+    gc.disable()
+    try:
+        for rows, columns in chunks:
+            by_name = dict(zip(header, columns))
+            blank = ("",) * rows
+            cells = {name: by_name[resolved[name]] if name in resolved else blank for name in CANONICAL_COLUMNS}
+            values = {name: column.add(cells[name]) for name, column in fields.items()}
+            sids = list(map(str.strip, cells["subject_id"]))
+            if "" in sids:
+                file(np.array(sids) == "", "subject_id missing")
+            subject_id += sids
+            file_failures("truth")
+            has_output, has_score = values["output"] != 0, ~np.isnan(values["score"])
+            file(has_output & has_score, "both output and score present; device output must be a single variant")
+            file_failures("output", "score")
+            file(~has_output & ~has_score, "no device output (output and score both empty)")
+            file(np.isnan(values["time"]) != (values["event"] == -1), "time and event must be present together")
+            file_failures("time", "event", "replicate_index")
+            for col, (decoder, non_finite) in covariates.items():
+                if not decoder.failures:  # once a cell is not a number, the column is excluded
+                    decoder.add(by_name[col])
+                    if non_finite:
+                        late += [(i, col, non_finite[raw]) for i, raw in enumerate(by_name[col], n) if raw in non_finite]
+            n += rows
+            del by_name, columns, cells
+    finally:
+        if collect:
+            gc.enable()
+
+    names = tuple(col for col, (decoder, _) in covariates.items() if not decoder.failures)
+    for i, col, message in late:
+        if col in names:
             errors.setdefault(i, message)
-
-    def file_failures(column: Sequence[str], failures: dict[str, str]) -> None:
-        if failures:
-            for i, raw in enumerate(column):
-                if raw in failures:
-                    errors.setdefault(i, failures[raw])
-
-    subject_id = list(map(str.strip, cells("subject_id")))
-    if "" in subject_id:
-        file(np.array(subject_id) == "", "subject_id missing")
-    site_id, _ = _decode(cells("site_id"), lambda raw: raw.strip() or "unknown", None)
-    truth, failures = _decode(cells("truth"), _truth_code, -1, np.int8)
-    file_failures(cells("truth"), failures)
-    output, output_failures = _decode(cells("output"), _output_code, 4, np.int8)
-    score, score_failures = _decode(cells("score"), _score_value, -1.0, float)
-    has_output, has_score = output != 0, ~np.isnan(score)
-    file(has_output & has_score, "both output and score present; device output must be a single variant")
-    file_failures(cells("output"), output_failures)
-    file_failures(cells("score"), score_failures)
-    file(~has_output & ~has_score, "no device output (output and score both empty)")
-    time, time_failures = _decode(cells("time"), _time_value, -1.0, float)
-    event, event_failures = _decode(cells("event"), _event_code, 2, np.int8)
-    file(np.isnan(time) != (event == -1), "time and event must be present together")
-    file_failures(cells("time"), time_failures)
-    file_failures(cells("event"), event_failures)
-    replicate_index, failures = _decode(cells("replicate_index"), _replicate_value, None)
-    file_failures(cells("replicate_index"), failures)
-    for col, (_, non_finite) in covariates.items():
-        file_failures(by_name[col], non_finite)
-
     if strict and errors:
         first = min(errors)
         raise ValueError(f"row {first + 1}: {errors[first]}")
@@ -608,29 +683,26 @@ def ingest_csv(
     if errors:
         kept = sorted(set(range(n)).difference(errors))
 
-    def kept_rows(values: list) -> tuple:
+    def kept_rows(values: list | np.ndarray) -> tuple | np.ndarray:
+        if isinstance(values, np.ndarray):
+            return values[kept]
         return tuple(values if not errors else [values[i] for i in kept])
 
-    names = tuple(covariates)
+    table_columns = {name: kept_rows(column.joined()) for name, column in fields.items()}
+    output = table_columns.pop("output")
     table = StudyTable(
         subject_id=kept_rows(subject_id),
-        site_id=kept_rows(site_id),
-        truth=truth[kept],
-        output_kind=_OUTPUT_KIND[output[kept]],
-        label=_OUTPUT_LABEL[output[kept]],
-        score=score[kept],
-        time=time[kept],
-        event=event[kept],
-        operator_id=kept_rows(_decode(cells("operator_id"), _id_value, None)[0]),
-        device_unit_id=kept_rows(_decode(cells("device_unit_id"), _id_value, None)[0]),
-        replicate_index=kept_rows(replicate_index),
-        covariates=np.array([covariates[name][0][kept] for name in names], dtype=float)
+        output_kind=_OUTPUT_KIND[output],
+        label=_OUTPUT_LABEL[output],
+        covariates=np.array([kept_rows(covariates[name][0].joined()) for name in names], dtype=float)
         .reshape(len(names), n - len(errors))
         .T.copy(),
         covariate_names=names,
+        **table_columns,
     )
     row_errors = tuple(RowError(row=i + 1, message=errors[i]) for i in sorted(errors))
-    return IngestResult(table=table, errors=row_errors, excluded_columns=tuple(excluded))
+    excluded = tuple(col for col in header if col in covariates and col not in names)
+    return IngestResult(table=table, errors=row_errors, excluded_columns=excluded)
 
 
 def serialize_records(records: Iterable[ValidationRecord], path: str | Path) -> None:

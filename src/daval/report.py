@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Any, Callable, Iterable
 
 import numpy as np
@@ -39,6 +40,7 @@ from .dataset import (
     IngestResult,
     OutputKind,
     StudyTable,
+    _read_rows,
     first_row,
     ingest_csv,
     validate_records,
@@ -323,18 +325,11 @@ class ValidationReport:
         return any("error" in block for block in self.results.values())
 
 
-def _header_columns(text: str, path: Path) -> list[str]:
-    """The dataset's column names, stripped as ingest strips them."""
-    header = next(csv.reader(io.StringIO(text, newline="")), None)
-    if header is None:
-        raise IngestError(f"{path} is empty")
-    return [name.strip() for name in header]
-
-
 def _check_columns(plan: AnalysisPlan, header: list[str], result: IngestResult) -> None:
     """Refuse a plan whose numeric parameter names anything but a covariate
     column of the ingested table: a column the dataset lacks, one ingest
-    excluded as text, or one it read as a canonical column."""
+    excluded as text, or one it read as a canonical column; or a record field
+    the dataset has no column for, where a covariate could be named instead."""
     covariates = set(result.table.covariate_names)
     for name in plan.analyses:
         params = plan.params[name]
@@ -344,6 +339,8 @@ def _check_columns(plan: AnalysisPlan, header: list[str], result: IngestResult) 
             fields, numeric = param.column
             key, value = f"{name}.{param.name}", params[param.name]
             for col in value if isinstance(value, list) else [value]:
+                if col in fields and numeric and plan.mapping.get(col, col) not in header:
+                    raise PlanError(f"{key} record field {col!r} has no column in the dataset")
                 if col in fields or (numeric and col in covariates):
                     continue
                 if not numeric:
@@ -649,18 +646,27 @@ def run_plan(plan: AnalysisPlan) -> ValidationReport:
         data_bytes = Path(plan.dataset).read_bytes()
     except FileNotFoundError:
         raise IngestError(f"dataset not found: {plan.dataset}") from None
+    sha256 = hashlib.sha256(data_bytes).hexdigest()
     try:
         text = data_bytes.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise IngestError(
             f"{plan.dataset} is not UTF-8 text: byte {exc.start} is 0x{data_bytes[exc.start]:02x}"
         ) from None
-    header = _header_columns(text, plan.dataset)
+    del data_bytes
+    try:  # the column names as ingest reads them, from the header alone
+        header = next(_read_rows(text.removeprefix("\ufeff"), plan.dataset))
+    except ValueError as exc:
+        raise IngestError(str(exc)) from None
     for canonical, actual in plan.mapping.items():
         if actual not in header:
             raise PlanError(f"mapped column {actual!r} (for {canonical}) not in dataset")
-    result = ingest_csv(io.StringIO(text, newline=""), mapping=plan.mapping or None)
+    source = SimpleNamespace(read=[text].pop)  # read() hands the text over for ingest to free
     del text
+    try:
+        result = ingest_csv(source, mapping=plan.mapping or None)
+    except ValueError as exc:
+        raise IngestError(f"{plan.dataset}: {exc}") from None
     _check_columns(plan, header, result)
     if result.errors:
         first = "; ".join(f"row {e.row}: {e.message}" for e in result.errors[:5])
@@ -671,7 +677,7 @@ def run_plan(plan: AnalysisPlan) -> ValidationReport:
 
     fingerprint = {
         "rows": len(table),
-        "sha256": hashlib.sha256(data_bytes).hexdigest(),
+        "sha256": sha256,
     }
     warnings: list[str] = []
     for col in result.excluded_columns:

@@ -481,3 +481,31 @@ def test_demo_plans_run_clean(capsys):
         report = run_plan(plan)
         assert not report.has_failures, name
         assert report.results
+
+
+def test_cli_reads_a_file_with_a_byte_order_mark(tmp_path, capsys):
+    # Excel's "CSV UTF-8" export starts the file with U+FEFF.
+    plain = write_paired_csv(tmp_path / "plain.csv")
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    reports = []
+    for path in (plain, marked):
+        assert cli_main(["riskscore", str(path), "--bins", "2"]) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    # The fingerprint is over the file's bytes, mark included.
+    assert reports[0]["dataset"]["rows"] == reports[1]["dataset"]["rows"] == 10
+    assert reports[0]["dataset"]["sha256"] != reports[1]["dataset"]["sha256"]
+    assert reports[0]["results"] == reports[1]["results"]
+
+
+@pytest.mark.parametrize("quoted", [False, True], ids=["split", "csv-reader"])
+def test_cli_refuses_an_oversize_field_with_its_row(tmp_path, capsys, quoted):
+    data = write_paired_csv(tmp_path / "d.csv")
+    lines = data.read_text(encoding="utf-8").splitlines()
+    field = "x" * (csv.field_size_limit() + 1)
+    lines[2] = lines[2].replace("p1", f'"{field}"' if quoted else field)
+    data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert cli_main(["riskscore", str(data)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert f"row 2: field larger than field limit ({csv.field_size_limit()})" in err

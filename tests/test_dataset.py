@@ -1,5 +1,7 @@
 """Ingest, serialization round-trip, and integrity checks."""
 
+import csv
+
 import pytest
 
 from daval.dataset import (
@@ -337,3 +339,36 @@ def test_truth_values_accept_long_and_short_forms(tmp_path):
         Label.NEGATIVE,
         Label.NEGATIVE,
     ]
+
+
+def test_leading_byte_order_mark_is_dropped(tmp_path):
+    text = "subject_id,truth,score\ns1,pos,0.5\ns2,neg,0.25\n"
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text("\ufeff" + text, encoding="utf-8")
+    result = ingest_csv(marked)
+    assert result.errors == () and result.records == ingest_csv(plain).records
+    assert result.table.subject_id == ("s1", "s2")
+
+
+@pytest.mark.parametrize(
+    "body",
+    ["s1,pos,0.5\n{field},neg,0.25\n", 's1,pos,0.5\n\n"{field}",neg,0.25\n', "s1,pos,0.5\r\n{field},neg,0.25\r\n"],
+    ids=["split", "csv-reader", "split-crlf"],
+)
+def test_oversize_field_is_refused_with_its_data_row(tmp_path, body):
+    limit = csv.field_size_limit()
+    path = tmp_path / "d.csv"
+    path.write_text("subject_id,truth,score\n" + body.format(field="x" * (limit + 1)), encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"^row 2: field larger than field limit \({limit}\)$"):
+        ingest_csv(path)
+    # A field at the limit is read.
+    path.write_text("subject_id,truth,score\n" + body.format(field="x" * limit), encoding="utf-8")
+    assert len(ingest_csv(path).table.subject_id[1]) == limit
+
+
+def test_oversize_header_field_is_refused(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("subject_id,score," + "x" * (csv.field_size_limit() + 1) + "\ns1,0.5,1\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"d\.csv header row: field larger than field limit"):
+        ingest_csv(path)

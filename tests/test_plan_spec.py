@@ -7,6 +7,7 @@ parameter error the plan validator and the column checks raise has a row here.
 """
 
 import argparse
+import csv
 import json
 import re
 import shutil
@@ -191,9 +192,10 @@ def test_plan_parameter_errors(analysis, params, pattern):
         plan_from_dict(raw)
 
 
-# (analysis, parameters, mapping, pattern): each names a column demo.csv lacks,
-# or where numbers are needed, one that ingest reads as a canonical column.
-# A pattern with alternatives accepts the key-named wording of the message.
+# (analysis, parameters, mapping, pattern): each names a column demo.csv lacks
+# (run without its operator_id column), or where numbers are needed, one that
+# ingest reads as a canonical column. A pattern with alternatives accepts the
+# key-named wording of the message.
 COLUMN_ERRORS = [
     ("qc", {}, {"truth": "gold"}, _exact("mapped column 'gold' (for truth) not in dataset")),
     ("agreement", {"x_col": "lab_z", "y_col": "age"}, {},
@@ -218,12 +220,25 @@ COLUMN_ERRORS = [
      _exact("survival.groups_by column 'subject_id' is a canonical column, not a numeric covariate")),
     ("survival", {"baseline_covariates": ["marker"]}, {"time": "marker"},
      _exact("survival.baseline_covariates column 'marker' is a canonical column, not a numeric covariate")),
+    ("survival", {"groups_by": "operator_id"}, {},
+     _exact("survival.groups_by record field 'operator_id' has no column in the dataset")),
 ]
 
 
+@pytest.fixture(scope="module")
+def demo_without_operator(tmp_path_factory):
+    with (DEMO / "demo.csv").open(newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    j = rows[0].index("operator_id")
+    path = tmp_path_factory.mktemp("columns") / "demo.csv"
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(row[:j] + row[j + 1:] for row in rows)
+    return path
+
+
 @pytest.mark.parametrize("analysis, params, mapping, pattern", COLUMN_ERRORS)
-def test_plan_column_errors(analysis, params, mapping, pattern):
-    raw = {"dataset": str(DEMO / "demo.csv"), "analyses": [analysis], "params": {analysis: params}}
+def test_plan_column_errors(demo_without_operator, analysis, params, mapping, pattern):
+    raw = {"dataset": str(demo_without_operator), "analyses": [analysis], "params": {analysis: params}}
     if mapping:
         raw["mapping"] = mapping
     plan = plan_from_dict(raw)
