@@ -11,12 +11,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 from scipy import stats
 
-from .dataset import OutputKind, StudyTable, ValidationRecord, first_row
+from .dataset import OutputKind, StudyTable, first_row
 
 __all__ = [
     "CIMethod",
@@ -130,14 +129,13 @@ class PowerResult:
     assumed_true: float
 
 
-def confusion_from_records(records: StudyTable | Sequence[ValidationRecord]) -> Confusion2x2:
+def confusion_from_records(table: StudyTable) -> Confusion2x2:
     """Tally records with truth and binary output into a 2x2 table.
 
     Ungradable or score outputs are rejected: score outputs belong to the
     risk-score analyses, and ungradable cases must go through the QC triage
     table so they are not silently dropped from accuracy estimates.
     """
-    table = StudyTable.of(records)
     no_truth = table.truth == -1
     not_binary = ~table.is_kind(OutputKind.BINARY)
     i = first_row(no_truth | not_binary)

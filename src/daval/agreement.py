@@ -11,12 +11,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 from scipy import stats
 
-from .dataset import OutputKind, StudyTable, ValidationRecord, first_row
+from .dataset import OutputKind, StudyTable, first_row
 
 __all__ = [
     "AgreementResult",
@@ -146,7 +146,7 @@ _CONDITION_FIELDS = ("subject_id", "site_id", "operator_id", "device_unit_id", "
 
 
 def precision_cells(
-    records: StudyTable | Iterable[ValidationRecord],
+    table: StudyTable,
     condition_fields: Sequence[str] = ("operator_id", "device_unit_id"),
 ) -> dict[tuple[str, tuple], list[float]]:
     """Group Score outputs into (subject, condition) cells of replicate values.
@@ -155,7 +155,6 @@ def precision_cells(
     field value contributes "?" so partially annotated studies still group
     deterministically.
     """
-    table = StudyTable.of(records)
     if not len(table):
         return {}
     # The first row's output kind is checked before the field names are.
@@ -260,8 +259,8 @@ def variance_components_from_cells(
 
 
 def variance_components(
-    records: StudyTable | Iterable[ValidationRecord],
+    table: StudyTable,
     condition_fields: Sequence[str] = ("operator_id", "device_unit_id"),
 ) -> PrecisionComponents:
     """Repeatability/reproducibility components from replicated Score records."""
-    return variance_components_from_cells(precision_cells(records, condition_fields))
+    return variance_components_from_cells(precision_cells(table, condition_fields))

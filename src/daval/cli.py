@@ -15,7 +15,7 @@ import os
 import sys
 from typing import Any, Sequence
 
-from .dataset import DeviceOutput, Label, ValidationRecord, serialize_records
+from .dataset import serialize_records
 from .report import (
     ANALYSES,
     IngestError,
@@ -29,6 +29,7 @@ from .report import (
 )
 from .resample import (
     SeededGenerator,
+    _simulated_table,
     simulate_binary_study,
     simulate_risk_scores,
     simulate_survival,
@@ -160,41 +161,24 @@ def _cmd_simulate(args) -> int:
     seed = _resolve_seed(args.seed)
     gen = SeededGenerator(seed=0 if seed is None else seed)
 
-    def need(value, flag):
-        if value is None:
+    def need(*names: str) -> list:
+        values = [getattr(args, name) for name in names]
+        if None in values:
+            flag = "--" + names[values.index(None)].replace("_", "-")
             raise CliError(f"simulate --kind {args.kind} needs {flag}")
-        return value
+        return values
 
-    if args.kind == "binary":
-        records = simulate_binary_study(
-            args.n,
-            need(args.prevalence, "--prevalence"),
-            need(args.sensitivity, "--sensitivity"),
-            need(args.specificity, "--specificity"),
-            gen,
-        )
-    elif args.kind == "scores":
-        scores, outcomes = simulate_risk_scores(
-            args.n, need(args.prevalence, "--prevalence"), need(args.auc, "--auc"), gen
-        )
-        records = [
-            ValidationRecord(
-                subject_id=f"s{i:06d}",
-                site_id="sim",
-                output=DeviceOutput.score(float(scores[i])),
-                truth=Label.POSITIVE if outcomes[i] else Label.NEGATIVE,
-            )
-            for i in range(args.n)
-        ]
-    else:
-        records = simulate_survival(
-            args.n,
-            need(args.baseline_hazard, "--baseline-hazard"),
-            args.log_hazard_ratio,
-            need(args.censor_rate, "--censor-rate"),
-            gen,
-        )
-    serialize_records(records, args.out)
+    try:
+        if args.kind == "binary":
+            table = simulate_binary_study(args.n, *need("prevalence", "sensitivity", "specificity"), gen)
+        elif args.kind == "scores":
+            scores, outcomes = simulate_risk_scores(args.n, *need("prevalence", "auc"), gen)
+            table = _simulated_table(args.n, truth=outcomes, score=scores)
+        else:
+            table = simulate_survival(args.n, *need("baseline_hazard", "log_hazard_ratio", "censor_rate"), gen)
+    except ValueError as exc:  # a parameter out of its range
+        raise CliError(f"simulate --kind {args.kind}: {exc}") from None
+    serialize_records(table, args.out)
     print(args.out)
     return 0
 

@@ -4,11 +4,14 @@ A validation dataset is one :class:`StudyTable`: a column per field, entry i
 of every column describing row i (one subject/case). Ingest fills the table
 column by column, and every analysis reads its arrays from it. Columns are
 read-only after construction, so a table is safe to share across threads.
+The simulators build their studies as tables too, and :func:`serialize_records`
+writes a table through the same columnar CSV writer as the report's plot
+files.
 
-:class:`ValidationRecord` is the same data one row at a time. Analyses that
-are handed a record sequence turn it into a table first
-(:meth:`StudyTable.from_records`), and :attr:`IngestResult.records` builds
-the records of an ingested table only when they are asked for.
+:class:`ValidationRecord` is the same data one row at a time. Records exist
+only at the edges: :attr:`IngestResult.records` builds the records of an
+ingested table when they are asked for, and :meth:`StudyTable.to_records`
+and :meth:`StudyTable.from_records` convert between the two forms.
 
 The CSV schema is remappable: callers supply a column mapping (canonical name
 -> actual header name) and any unmapped extra column is treated as a numeric
@@ -231,11 +234,6 @@ class StudyTable:
             ).reshape(len(records), len(names)),
             covariate_names=names,
         )
-
-    @classmethod
-    def of(cls, data: "StudyTable | Iterable[ValidationRecord]") -> "StudyTable":
-        """``data`` itself when it is a table, else the table of its records."""
-        return data if isinstance(data, StudyTable) else cls.from_records(data)
 
     def is_kind(self, kind: OutputKind) -> np.ndarray:
         """Row mask of the rows whose device output is of ``kind``."""
@@ -705,37 +703,81 @@ def ingest_csv(
     return IngestResult(table=table, errors=row_errors, excluded_columns=excluded)
 
 
-def serialize_records(records: Iterable[ValidationRecord], path: str | Path) -> None:
-    """Write records back out in the canonical CSV schema (inverse of ingest_csv)."""
-    records = list(records)
-    covariate_names = sorted({name for r in records for name in r.covariates})
-    columns = list(CANONICAL_COLUMNS) + covariate_names
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for r in records:
-            row = {
-                "subject_id": r.subject_id,
-                "site_id": r.site_id,
-                "truth": r.truth.value if r.truth else "",
-                "operator_id": r.operator_id or "",
-                "device_unit_id": r.device_unit_id or "",
-                "replicate_index": "" if r.replicate_index is None else str(r.replicate_index),
-            }
-            if r.output.kind is OutputKind.BINARY:
-                row["output"], row["score"] = r.output.label.value, ""
-            elif r.output.kind is OutputKind.SCORE:
-                row["output"], row["score"] = "", repr(r.output.value)
-            else:
-                row["output"], row["score"] = "ungradable", ""
-            if r.survival is not None:
-                row["time"] = repr(r.survival.time)
-                row["event"] = "1" if r.survival.event else "0"
-            else:
-                row["time"] = row["event"] = ""
-            for name in covariate_names:
-                row[name] = "" if name not in r.covariates else repr(r.covariates[name])
-            writer.writerow([row.get(c, "") for c in columns])
+def _csv_row(fields: Iterable[str], end: str) -> str:
+    r"""One row as `csv.writer` writes it, ended by ``end``.
+
+    The writer quotes the characters of its terminator, so it writes with
+    `\r\n`: a `\n` one would leave a bare `\r` unquoted, where a reader
+    splits the row.
+    """
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\r\n").writerow(fields)
+    return buf.getvalue()[:-2] + end
+
+
+def _csv_column(column: np.ndarray | Sequence[str]) -> list[str]:
+    """One column as CSV fields.
+
+    An array's values are written as their Python `repr`: the shortest text
+    that reads back to the same float, and an integer's digits.
+    """
+    if isinstance(column, np.ndarray):
+        return list(map(repr, column.tolist()))
+    distinct = list(set(column))
+    if _csv_row(distinct, "") == ",".join(distinct):  # no text is quoted
+        return list(column)
+    # Each distinct text quoted once, as one field of a row of several.
+    fields = {text: _csv_row((text, ""), "")[:-1] for text in distinct}
+    return list(map(fields.__getitem__, column))
+
+
+def _csv_text(header: Sequence[str], columns: Sequence[np.ndarray | Sequence[str]], end: str) -> str:
+    """A CSV file's text from its header and columns, each row ended by ``end``."""
+    cells = [_csv_column(column) for column in columns]
+    if len(cells) == 1:
+        # csv.writer writes a row made of one empty field as `""`.
+        cells[0] = [cell or '""' for cell in cells[0]]
+    # Fields in the even slots, separators in the odd ones: one join makes the
+    # body. A column of another length fails the slice assignment.
+    k, rows = len(cells), len(cells[0])
+    body = [","] * (2 * k * rows)
+    for j, column in enumerate(cells):
+        body[2 * j :: 2 * k] = column
+    body[2 * k - 1 :: 2 * k] = [end] * rows
+    return _csv_row(header, end) + "".join(body)
+
+
+# The text of truth and label codes -1, 0, 1, by code + 1.
+_CODE_TEXT = np.array(["", "neg", "pos"], dtype=object)
+
+
+def _float_fields(values: np.ndarray) -> list[str]:
+    """The `repr` of each value, and an empty field where it is NaN (absent)."""
+    return ["" if v != v else repr(v) for v in values.tolist()]
+
+
+def serialize_records(table: StudyTable, path: str | Path) -> None:
+    r"""Write a table in the canonical CSV schema (inverse of ingest_csv): the
+    canonical columns, then the covariates in name order, rows ended by
+    `\r\n`, and an empty field wherever a value is absent."""
+    names = sorted(table.covariate_names)
+    output = _CODE_TEXT[table.label + 1]
+    output[table.is_kind(OutputKind.UNGRADABLE)] = "ungradable"
+    columns = [
+        table.subject_id,
+        table.site_id,
+        _CODE_TEXT[table.truth + 1].tolist(),
+        output.tolist(),
+        _float_fields(table.score),
+        _float_fields(table.time),
+        ["" if value < 0 else str(value) for value in table.event.tolist()],
+        [value or "" for value in table.operator_id],
+        [value or "" for value in table.device_unit_id],
+        ["" if value is None else str(value) for value in table.replicate_index],
+        *(_float_fields(table.covariate(name)) for name in names),
+    ]
+    text = _csv_text(CANONICAL_COLUMNS + tuple(names), columns, "\r\n")
+    Path(path).write_text(text, encoding="utf-8", newline="")
 
 
 @dataclass(frozen=True)
@@ -750,9 +792,8 @@ class IntegrityReport:
         return not self.duplicate_keys and not self.warnings and self.n_missing_truth == 0
 
 
-def validate_records(records: StudyTable | Sequence[ValidationRecord]) -> IntegrityReport:
+def validate_records(table: StudyTable) -> IntegrityReport:
     """Report-only integrity check: duplicates, truth missingness, site balance."""
-    table = StudyTable.of(records)
     n = len(table)
     duplicates: tuple[tuple[str, int | None], ...] = ()
     if len(set(table.subject_id)) < n:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
@@ -28,7 +27,7 @@ from .accuracy import (
     proportion_ci,
     ratio_ci_log_method,
 )
-from .dataset import OutputKind, StudyTable, ValidationRecord, first_row
+from .dataset import OutputKind, StudyTable, first_row
 
 __all__ = [
     "TriageConfusion",
@@ -89,13 +88,12 @@ class TriageConfusion:
         return Confusion2x2(tp=self.a, fn=self.b, fp=self.d, tn=self.e)
 
 
-def triage_table(records: StudyTable | Sequence[ValidationRecord]) -> TriageConfusion:
+def triage_table(table: StudyTable) -> TriageConfusion:
     """Partition records into the six triage cells.
 
     Score outputs are rejected: a continuous score must be thresholded into a
     binary call upstream before QC triage applies.
     """
-    table = StudyTable.of(records)
     no_truth = table.truth == -1
     score = table.is_kind(OutputKind.SCORE)
     i = first_row(no_truth | score)

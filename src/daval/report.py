@@ -12,16 +12,14 @@ sidecar files.
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
 import json
 import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 import numpy as np
 
@@ -40,6 +38,7 @@ from .dataset import (
     IngestResult,
     OutputKind,
     StudyTable,
+    _csv_text,
     _read_rows,
     first_row,
     ingest_csv,
@@ -326,10 +325,10 @@ class ValidationReport:
 
 
 def _check_columns(plan: AnalysisPlan, header: list[str], result: IngestResult) -> None:
-    """Refuse a plan whose numeric parameter names anything but a covariate
-    column of the ingested table: a column the dataset lacks, one ingest
-    excluded as text, or one it read as a canonical column; or a record field
-    the dataset has no column for, where a covariate could be named instead."""
+    """Refuse a plan whose column parameter names a record field the dataset
+    has no column for, or whose numeric parameter names anything but a
+    covariate column of the ingested table: a column the dataset lacks, one
+    ingest excluded as text, or one it read as a canonical column."""
     covariates = set(result.table.covariate_names)
     for name in plan.analyses:
         params = plan.params[name]
@@ -339,7 +338,7 @@ def _check_columns(plan: AnalysisPlan, header: list[str], result: IngestResult) 
             fields, numeric = param.column
             key, value = f"{name}.{param.name}", params[param.name]
             for col in value if isinstance(value, list) else [value]:
-                if col in fields and numeric and plan.mapping.get(col, col) not in header:
+                if col in fields and plan.mapping.get(col, col) not in header:
                     raise PlanError(f"{key} record field {col!r} has no column in the dataset")
                 if col in fields or (numeric and col in covariates):
                     continue
@@ -1062,46 +1061,6 @@ def render_markdown(report: ValidationReport) -> str:
     return "\n".join(lines)
 
 
-def _csv_row(fields: Iterable[str]) -> str:
-    r"""One row as `csv.writer` writes it, ended by `\n`.
-
-    The writer quotes the characters of its terminator, so it writes with
-    `\r\n`: a `\n` one would leave a bare `\r` unquoted, where a reader
-    splits the row.
-    """
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\r\n").writerow(fields)
-    return buf.getvalue()[:-2] + "\n"
-
-
-def _csv_column(column: PlotColumn) -> list[str]:
-    """One plot column as CSV fields.
-
-    An array's values are written as their Python `repr`: the shortest text
-    that reads back to the same float, and an integer's digits.
-    """
-    if isinstance(column, np.ndarray):
-        return list(map(repr, column.tolist()))
-    # Each distinct text quoted once, as one field of a row of several.
-    fields = {text: _csv_row((text, ""))[:-2] for text in set(column)}
-    return list(map(fields.__getitem__, column))
-
-
-def _csv_text(header: tuple[str, ...], columns: list[PlotColumn]) -> str:
-    cells = [_csv_column(column) for column in columns]
-    if len(cells) == 1:
-        # csv.writer writes a row made of one empty field as `""`.
-        cells[0] = [cell or '""' for cell in cells[0]]
-    # Fields in the even slots, separators in the odd ones: one join makes the
-    # body. A column of another length fails the slice assignment.
-    k, rows = len(cells), len(cells[0])
-    body = [","] * (2 * k * rows)
-    for j, column in enumerate(cells):
-        body[2 * j :: 2 * k] = column
-    body[2 * k - 1 :: 2 * k] = ["\n"] * rows
-    return _csv_row(header) + "".join(body)
-
-
 def emit_report(
     report: ValidationReport, out_dir: str | Path, format: str = "json"
 ) -> list[Path]:
@@ -1125,6 +1084,6 @@ def emit_report(
         written.append(md_path)
     for filename, (header, columns) in sorted(report.plots.items()):
         plot_path = out / filename
-        plot_path.write_text(_csv_text(header, columns), encoding="utf-8", newline="")
+        plot_path.write_text(_csv_text(header, columns, "\n"), encoding="utf-8", newline="")
         written.append(plot_path)
     return written

@@ -16,7 +16,7 @@ from typing import Callable, Sequence, TypeVar
 import numpy as np
 from scipy import stats
 
-from .dataset import DeviceOutput, Label, Survival, ValidationRecord
+from .dataset import OutputKind, StudyTable
 
 __all__ = [
     "SeededGenerator",
@@ -65,13 +65,41 @@ def _check_unit_half_open(value: float, name: str) -> None:
         raise ValueError(f"{name} must lie in (0, 1], got {value}")
 
 
+def _simulated_table(n: int, **columns: np.ndarray) -> StudyTable:
+    """The table of a simulated study of subjects s000000, s000001, ... at
+    site "sim", from boolean ``truth``, ``label`` and ``event`` columns,
+    ``score`` and ``time`` columns and a covariate ``z``; an absent column
+    reads as missing in every row. The outputs are the ``label`` calls when
+    there are any, else the ``score`` values.
+    """
+    codes = {
+        name: columns[name].astype(np.int8) if name in columns else np.full(n, -1, np.int8)
+        for name in ("truth", "label", "event")
+    }
+    kind = OutputKind.BINARY if "label" in columns else OutputKind.SCORE
+    names = ("z",) if "z" in columns else ()
+    return StudyTable(
+        subject_id=tuple(f"s{i:06d}" for i in range(n)),
+        site_id=("sim",) * n,
+        output_kind=np.full(n, list(OutputKind).index(kind), np.int8),
+        score=columns.get("score", np.full(n, np.nan)),
+        time=columns.get("time", np.full(n, np.nan)),
+        operator_id=(None,) * n,
+        device_unit_id=(None,) * n,
+        replicate_index=(None,) * n,
+        covariates=np.array([columns[name] for name in names], dtype=float).reshape(len(names), n).T,
+        covariate_names=names,
+        **codes,
+    )
+
+
 def simulate_binary_study(
     n: int,
     prevalence: float,
     sensitivity: float,
     specificity: float,
     gen: SeededGenerator,
-) -> list[ValidationRecord]:
+) -> StudyTable:
     """Synthetic binary study: truth ~ Bernoulli(prevalence), output correct
     with probability sensitivity (diseased) or specificity (healthy)."""
     if n < 1:
@@ -83,23 +111,7 @@ def simulate_binary_study(
     truth = rng.random(n) < prevalence
     correct_if_pos = rng.random(n) < sensitivity
     correct_if_neg = rng.random(n) < specificity
-    records = []
-    for i in range(n):
-        if truth[i]:
-            label = Label.POSITIVE if correct_if_pos[i] else Label.NEGATIVE
-            truth_label = Label.POSITIVE
-        else:
-            label = Label.NEGATIVE if correct_if_neg[i] else Label.POSITIVE
-            truth_label = Label.NEGATIVE
-        records.append(
-            ValidationRecord(
-                subject_id=f"s{i:06d}",
-                site_id="sim",
-                output=DeviceOutput.binary(label),
-                truth=truth_label,
-            )
-        )
-    return records
+    return _simulated_table(n, truth=truth, label=np.where(truth, correct_if_pos, ~correct_if_neg))
 
 
 def simulate_risk_scores(
@@ -130,10 +142,10 @@ def simulate_survival(
     log_hazard_ratio: float,
     censor_rate: float,
     gen: SeededGenerator,
-) -> list[ValidationRecord]:
+) -> StudyTable:
     """Exponential event times with a binary covariate scaling the hazard.
 
-    The covariate z ~ Bernoulli(1/2) lives in record.covariates; censoring is
+    The covariate z ~ Bernoulli(1/2) is the table's one covariate; censoring is
     an independent exponential clock. The device output is the analytic
     one-year event risk 1 - exp(-hazard_z), so the simulated score is
     calibrated by construction.
@@ -147,19 +159,13 @@ def simulate_survival(
     hazard = baseline_hazard * np.exp(log_hazard_ratio * z)
     event_time = rng.exponential(1.0, n) / hazard
     censor_time = rng.exponential(1.0 / censor_rate, n)
-    records = []
-    for i in range(n):
-        observed = min(event_time[i], censor_time[i])
-        records.append(
-            ValidationRecord(
-                subject_id=f"s{i:06d}",
-                site_id="sim",
-                output=DeviceOutput.score(float(1.0 - np.exp(-hazard[i]))),
-                survival=Survival(time=float(observed), event=bool(event_time[i] <= censor_time[i])),
-                covariates={"z": float(z[i])},
-            )
-        )
-    return records
+    return _simulated_table(
+        n,
+        score=1.0 - np.exp(-hazard),
+        time=np.minimum(event_time, censor_time),
+        event=event_time <= censor_time,
+        z=z,
+    )
 
 
 T = TypeVar("T")

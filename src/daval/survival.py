@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy import stats
 
-from .dataset import StudyTable, ValidationRecord, first_row
+from .dataset import StudyTable, first_row
 
 __all__ = [
     "MonotoneLikelihoodError",
@@ -545,15 +545,12 @@ def added_value_lrt(baseline: CoxFit, full: CoxFit, added_df: int) -> LrtResult:
     return LrtResult(statistic=stat, df=added_df, p_value=chi_square_sf(stat, added_df))
 
 
-def survival_arrays(
-    records: StudyTable | Iterable[ValidationRecord],
-) -> tuple[np.ndarray, np.ndarray]:
+def survival_arrays(table: StudyTable) -> tuple[np.ndarray, np.ndarray]:
     """Times and event indicators from records, one row per subject.
 
     Duplicate subject ids are rejected: repeated follow-up intervals describe
     recurrent-event data, which this model does not cover.
     """
-    table = StudyTable.of(records)
     missing = first_row(table.event == -1)
     duplicate = -1
     if len(set(table.subject_id)) < len(table):
@@ -574,11 +571,8 @@ def survival_arrays(
     return np.array(table.time), table.event == 1
 
 
-def covariate_matrix(
-    records: StudyTable | Sequence[ValidationRecord], names: Sequence[str]
-) -> np.ndarray:
+def covariate_matrix(table: StudyTable, names: Sequence[str]) -> np.ndarray:
     """Covariate columns by name, erroring on any missing value."""
-    table = StudyTable.of(records)
     matrix = np.empty((len(table), len(names)))
     for j, name in enumerate(names):
         matrix[:, j] = table.covariate(name)

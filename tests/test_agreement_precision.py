@@ -13,6 +13,7 @@ from daval.agreement import (
     variance_components,
     variance_components_from_cells,
 )
+from daval.dataset import StudyTable
 from conftest import score_record
 
 
@@ -261,8 +262,8 @@ def test_relabeling_conditions_does_not_change_components():
             ("s2", "south", [0.39, 0.42, 0.41]),
         ]
     )
-    a = variance_components(records, condition_fields=("operator_id",))
-    b = variance_components(renamed, condition_fields=("operator_id",))
+    a = variance_components(StudyTable.from_records(records), condition_fields=("operator_id",))
+    b = variance_components(StudyTable.from_records(renamed), condition_fields=("operator_id",))
     assert a.repeatability_sd == pytest.approx(b.repeatability_sd, abs=1e-15)
     assert a.between_condition_sd == pytest.approx(b.between_condition_sd, abs=1e-15)
     assert a.reproducibility_sd == pytest.approx(b.reproducibility_sd, abs=1e-15)
@@ -272,7 +273,7 @@ def test_precision_cells_groups_by_subject_and_condition():
     records = replicate_records(
         [("s1", "opA", [0.5, 0.6]), ("s1", "opB", [0.4]), ("s2", "opA", [0.7])]
     )
-    cells = precision_cells(records, condition_fields=("operator_id",))
+    cells = precision_cells(StudyTable.from_records(records), condition_fields=("operator_id",))
     assert cells[("s1", ("opA",))] == [0.5, 0.6]
     assert cells[("s1", ("opB",))] == [0.4]
     assert cells[("s2", ("opA",))] == [0.7]
@@ -280,7 +281,7 @@ def test_precision_cells_groups_by_subject_and_condition():
 
 def test_precision_cells_missing_condition_becomes_question_mark():
     records = [score_record("s1", 0.5), score_record("s1", 0.6)]
-    cells = precision_cells(records, condition_fields=("operator_id",))
+    cells = precision_cells(StudyTable.from_records(records), condition_fields=("operator_id",))
     assert list(cells) == [("s1", ("?",))]
 
 
@@ -289,9 +290,9 @@ def test_precision_requires_score_outputs_and_known_fields():
     from daval.dataset import Label
 
     with pytest.raises(ValueError, match="[Ss]core"):
-        precision_cells([binary_record("s1", Label.POSITIVE, Label.POSITIVE)])
+        precision_cells(StudyTable.from_records([binary_record("s1", Label.POSITIVE, Label.POSITIVE)]))
     with pytest.raises(ValueError, match="condition field"):
-        precision_cells([score_record("s1", 0.5)], condition_fields=("shift",))
+        precision_cells(StudyTable.from_records([score_record("s1", 0.5)]), condition_fields=("shift",))
 
 
 def test_unreplicated_cells_cannot_estimate_repeatability():

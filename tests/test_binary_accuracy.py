@@ -19,7 +19,7 @@ from daval.accuracy import (
     ratio_ci_log_method,
     test_vs_goal as goal_test,
 )
-from daval.dataset import Label
+from daval.dataset import Label, StudyTable
 from daval.resample import SeededGenerator, bootstrap_ci, simulate_binary_study
 from conftest import binary_record, score_record, ungradable_record
 
@@ -41,7 +41,7 @@ def test_confusion_from_records_tally():
         + [binary_record(f"c{i}", Label.NEGATIVE, Label.NEGATIVE) for i in range(3)]
         + [binary_record("d0", Label.POSITIVE, Label.NEGATIVE)]
     )
-    conf = confusion_from_records(records)
+    conf = confusion_from_records(StudyTable.from_records(records))
     assert (conf.tp, conf.fp, conf.fn, conf.tn) == (2, 1, 1, 3)
     assert conf.total == 7
     assert conf.n_positive == 3
@@ -50,11 +50,11 @@ def test_confusion_from_records_tally():
 
 def test_confusion_rejects_ungradable_and_score_outputs():
     with pytest.raises(ValueError, match="triage"):
-        confusion_from_records([ungradable_record("s1", Label.POSITIVE)])
+        confusion_from_records(StudyTable.from_records([ungradable_record("s1", Label.POSITIVE)]))
     with pytest.raises(ValueError, match="binary"):
-        confusion_from_records([score_record("s1", 0.5, truth=Label.POSITIVE)])
+        confusion_from_records(StudyTable.from_records([score_record("s1", 0.5, truth=Label.POSITIVE)]))
     with pytest.raises(ValueError, match="truth"):
-        confusion_from_records([binary_record("s1", None, Label.POSITIVE)])
+        confusion_from_records(StudyTable.from_records([binary_record("s1", None, Label.POSITIVE)]))
 
 
 def test_sensitivity_point_estimate():
@@ -167,12 +167,13 @@ def test_log_method_se_formula():
 
 
 def test_log_method_tracks_bootstrap_on_simulated_study():
-    records = simulate_binary_study(200, 0.4, 0.8, 0.9, SeededGenerator(101))
-    conf = confusion_from_records(records)
+    table = simulate_binary_study(200, 0.4, 0.8, 0.9, SeededGenerator(101))
+    records = table.to_records()
+    conf = confusion_from_records(table)
     lr_ci = likelihood_ratios(conf)["lr_pos"]
 
     def stat(sample):
-        c = confusion_from_records(sample)
+        c = confusion_from_records(StudyTable.from_records(sample))
         if c.tp == 0 or c.fp == 0 or c.n_positive == 0 or c.n_negative == 0:
             raise ValueError("degenerate resample")
         return (c.tp / c.n_positive) / (c.fp / c.n_negative)

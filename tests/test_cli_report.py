@@ -437,6 +437,54 @@ def test_cli_simulate_roundtrip(tmp_path, capsys):
     assert "--prevalence" in capsys.readouterr().err
 
 
+
+SIMULATE_KINDS = {
+    "binary": ["--prevalence", "0.4", "--sensitivity", "0.85", "--specificity", "0.9"],
+    "scores": ["--prevalence", "0.4", "--auc", "0.8"],
+    "survival": ["--baseline-hazard", "0.5", "--censor-rate", "0.2"],
+}
+
+
+@pytest.mark.parametrize(
+    "kind, flag, value, message",
+    [
+        ("binary", "--n", "0", "n must be >= 1"),
+        ("binary", "--prevalence", "1.0", "prevalence must lie in (0, 1)"),
+        ("binary", "--sensitivity", "0.0", "sensitivity must lie in (0, 1]"),
+        ("scores", "--n", "-3", "n must be >= 1"),
+        ("scores", "--prevalence", "0.0", "prevalence must lie in (0, 1)"),
+        ("scores", "--auc", "0.5", "auc_target must lie in (0.5, 1)"),
+        ("survival", "--n", "0", "n must be >= 1"),
+        ("survival", "--censor-rate", "0", "rates must be positive"),
+        ("survival", "--baseline-hazard", "-1", "rates must be positive"),
+    ],
+)
+def test_cli_simulate_rejects_parameters_out_of_range(tmp_path, capsys, kind, flag, value, message):
+    out = tmp_path / "sim.csv"
+    args = ["simulate", "--kind", kind, "--n", "10", *SIMULATE_KINDS[kind], "--out", str(out)]
+    args[args.index(flag) + 1] = value
+    assert cli_main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: simulate --kind {kind}: ") and message in err
+    assert not out.exists()
+
+
+def test_precision_fails_on_condition_fields_without_columns(tmp_path, capsys):
+    # 4 subjects x 6 replicates, and neither default condition field has a column.
+    lines = ["subject_id,score"]
+    lines += [f"s{s},{0.3 + 0.1 * s + 0.01 * r:.2f}" for s in range(4) for r in range(6)]
+    data = tmp_path / "d.csv"
+    data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert cli_main(["precision", str(data)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: precision.condition_fields record field 'operator_id' has no column in the dataset\n"
+    )
+    raw = plan_dict(data, ["precision"], params={"precision": {"condition_fields": ["device_unit_id"]}})
+    with pytest.raises(PlanError, match="^precision.condition_fields record field 'device_unit_id' has no"):
+        run_plan(plan_from_dict(raw))
+
 def test_cli_seed_env_fallback(tmp_path, capsys, monkeypatch):
     data = write_binary_csv(tmp_path / "d.csv")
     monkeypatch.setenv("DAVAL_SEED", "7")

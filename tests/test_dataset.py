@@ -9,6 +9,7 @@ from daval.dataset import (
     DeviceOutput,
     Label,
     OutputKind,
+    StudyTable,
     Survival,
     ValidationRecord,
     ingest_csv,
@@ -236,21 +237,21 @@ def test_round_trip_preserves_records(tmp_path):
         survival_record("s4", 12.5, True, value=0.8, covariates={"age": 40.0}),
     ]
     p = tmp_path / "out.csv"
-    serialize_records(records, p)
+    serialize_records(StudyTable.from_records(records), p)
     back = ingest_csv(p)
     assert back.errors == ()
     assert list(back.records) == records
 
     # serializing the reread records reproduces the file byte for byte
     p2 = tmp_path / "out2.csv"
-    serialize_records(back.records, p2)
+    serialize_records(back.table, p2)
     assert p2.read_bytes() == p.read_bytes()
 
 
 def test_serialized_header_is_canonical_plus_sorted_covariates(tmp_path):
     records = [score_record("s1", 0.5, covariates={"b_mark": 1.0, "a_mark": 2.0})]
     p = tmp_path / "out.csv"
-    serialize_records(records, p)
+    serialize_records(StudyTable.from_records(records), p)
     header = p.read_text(encoding="utf-8").splitlines()[0]
     assert header == ",".join(CANONICAL_COLUMNS) + ",a_mark,b_mark"
 
@@ -261,7 +262,7 @@ def test_duplicate_subject_replicate_pairs_are_flagged():
         binary_record("s1", Label.POSITIVE, Label.NEGATIVE),
         binary_record("s2", Label.NEGATIVE, Label.NEGATIVE),
     ]
-    report = validate_records(records)
+    report = validate_records(StudyTable.from_records(records))
     assert report.duplicate_keys == (("s1", None),)
     assert not report.clean
     assert any("duplicate" in w for w in report.warnings)
@@ -272,7 +273,7 @@ def test_distinct_replicate_indices_are_not_duplicates():
         score_record("s1", 0.5, replicate_index=0),
         score_record("s1", 0.6, replicate_index=1),
     ]
-    report = validate_records(records)
+    report = validate_records(StudyTable.from_records(records))
     assert report.duplicate_keys == ()
 
 
@@ -281,7 +282,7 @@ def test_single_site_and_missing_truth_warnings():
         binary_record("s1", Label.POSITIVE, Label.POSITIVE),
         binary_record("s2", None, Label.NEGATIVE),
     ]
-    report = validate_records(records)
+    report = validate_records(StudyTable.from_records(records))
     assert report.n_missing_truth == 1
     assert any("single-site" in w for w in report.warnings)
     assert any("lack a reference-standard truth" in w for w in report.warnings)
@@ -295,7 +296,7 @@ def test_clean_two_site_dataset_has_no_warnings():
         binary_record(f"t{i}", Label.NEGATIVE, Label.NEGATIVE, site_id="b")
         for i in range(3)
     ]
-    report = validate_records(records)
+    report = validate_records(StudyTable.from_records(records))
     assert report.clean
     assert report.warnings == ()
     assert report.site_counts == (("a", 3), ("b", 3))
@@ -306,7 +307,7 @@ def test_site_imbalance_warning():
         binary_record(f"s{i}", Label.POSITIVE, Label.POSITIVE, site_id="big")
         for i in range(9)
     ] + [binary_record("t0", Label.NEGATIVE, Label.NEGATIVE, site_id="small")]
-    report = validate_records(records)
+    report = validate_records(StudyTable.from_records(records))
     assert any("imbalance" in w for w in report.warnings)
 
 

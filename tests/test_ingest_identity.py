@@ -390,7 +390,7 @@ def record_lists(draw):
 @given(record_lists())
 def test_serialize_then_ingest_is_the_identity(tmp_path_factory, records):
     path = tmp_path_factory.mktemp("roundtrip") / "d.csv"
-    serialize_records(records, path)
+    serialize_records(StudyTable.from_records(records), path)
     result = ingest_csv(path)
     assert result.errors == ()
     assert list(result.records) == records

@@ -206,7 +206,7 @@ COLUMN_ERRORS = [
     ("survival", {"added_covariates": ["zzz"]}, {}, r"^survival(\.\w+| covariate) column 'zzz' not in dataset$"),
     ("survival", {"groups_by": "zzz"}, {},
      _exact("survival.groups_by 'zzz' is neither a record field nor a column")),
-    ("precision", {"condition_fields": ["operator_id", "age"]}, {},
+    ("precision", {"condition_fields": ["device_unit_id", "age"]}, {},
      r"^precision(\.condition_fields| condition field) 'age' is not a record field$"),
     ("agreement", {"x_col": "time", "y_col": "age"}, {},
      _exact("agreement.x_col column 'time' is a canonical column, not a numeric covariate")),
@@ -222,6 +222,8 @@ COLUMN_ERRORS = [
      _exact("survival.baseline_covariates column 'marker' is a canonical column, not a numeric covariate")),
     ("survival", {"groups_by": "operator_id"}, {},
      _exact("survival.groups_by record field 'operator_id' has no column in the dataset")),
+    ("precision", {"condition_fields": ["device_unit_id", "operator_id"]}, {},
+     _exact("precision.condition_fields record field 'operator_id' has no column in the dataset")),
 ]
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from daval.accuracy import accuracy_metrics
-from daval.dataset import Label
+from daval.dataset import Label, StudyTable
 from daval.qc import (
     ROW_NAMES,
     TriageConfusion,
@@ -23,7 +23,7 @@ DEMO_CELLS = (40, 5, 5, 10, 85, 5)
 
 
 def test_triage_table_from_records():
-    tri = triage_table(triage_records(*DEMO_CELLS))
+    tri = triage_table(StudyTable.from_records(triage_records(*DEMO_CELLS)))
     assert (tri.a, tri.b, tri.c, tri.d, tri.e, tri.f) == DEMO_CELLS
     assert tri.total == 150
     assert tri.n_positive == 50
@@ -32,9 +32,9 @@ def test_triage_table_from_records():
 
 def test_triage_table_requires_truth_and_rejects_scores():
     with pytest.raises(ValueError, match="truth"):
-        triage_table([ungradable_record("s1", None)])
+        triage_table(StudyTable.from_records([ungradable_record("s1", None)]))
     with pytest.raises(ValueError, match="[Ss]core"):
-        triage_table([score_record("s1", 0.5, truth=Label.POSITIVE)])
+        triage_table(StudyTable.from_records([score_record("s1", 0.5, truth=Label.POSITIVE)]))
 
 
 def test_gradable_collapse_matches_binary_module():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from daval.accuracy import accuracy_metrics, confusion_from_records, proportion_ci
-from daval.dataset import Label, OutputKind
+from daval.dataset import Label, OutputKind, StudyTable
 from daval.resample import (
     NoisyQueryLedger,
     QueryBudgetError,
@@ -52,8 +52,8 @@ def test_substream_index_bounds():
 
 
 def test_binary_study_reproducible_and_sized():
-    a = simulate_binary_study(50, 0.4, 0.8, 0.9, SeededGenerator(1))
-    b = simulate_binary_study(50, 0.4, 0.8, 0.9, SeededGenerator(1))
+    a = simulate_binary_study(50, 0.4, 0.8, 0.9, SeededGenerator(1)).to_records()
+    b = simulate_binary_study(50, 0.4, 0.8, 0.9, SeededGenerator(1)).to_records()
     assert a == b
     assert len(a) == 50
     assert all(r.truth is not None for r in a)
@@ -61,8 +61,9 @@ def test_binary_study_reproducible_and_sized():
 
 
 def test_binary_study_hits_target_operating_point():
-    records = simulate_binary_study(10000, 0.4, 0.8, 0.9, SeededGenerator(2))
-    m = accuracy_metrics(confusion_from_records(records))
+    table = simulate_binary_study(10000, 0.4, 0.8, 0.9, SeededGenerator(2))
+    records = table.to_records()
+    m = accuracy_metrics(confusion_from_records(table))
     assert m.sensitivity.estimate == pytest.approx(0.8, abs=0.02)
     assert m.specificity.estimate == pytest.approx(0.9, abs=0.02)
     prevalence = sum(r.truth is Label.POSITIVE for r in records) / 10000
@@ -70,8 +71,8 @@ def test_binary_study_hits_target_operating_point():
 
 
 def test_perfect_device_simulates_exactly():
-    records = simulate_binary_study(60, 0.4, 1.0, 1.0, SeededGenerator(3))
-    m = accuracy_metrics(confusion_from_records(records))
+    table = simulate_binary_study(60, 0.4, 1.0, 1.0, SeededGenerator(3))
+    m = accuracy_metrics(confusion_from_records(table))
     assert m.sensitivity.estimate == 1.0
     assert m.specificity.estimate == 1.0
     assert m.ppv.estimate == 1.0
@@ -116,15 +117,16 @@ def test_risk_scores_validation():
 def test_survival_sim_censoring_trend():
     fractions = []
     for rate in (2.0, 0.5, 0.1):
-        records = simulate_survival(1500, 0.5, 0.0, rate, SeededGenerator(8))
-        _, events = survival_arrays(records)
+        table = simulate_survival(1500, 0.5, 0.0, rate, SeededGenerator(8))
+        _, events = survival_arrays(table)
         fractions.append(float(np.mean(~events)))
     assert fractions[0] > fractions[1] > fractions[2]
 
 
 def test_survival_sim_null_hazard_ratio_balances_groups():
-    records = simulate_survival(3000, 0.5, 0.0, 0.1, SeededGenerator(9))
-    times, events = survival_arrays(records)
+    table = simulate_survival(3000, 0.5, 0.0, 0.1, SeededGenerator(9))
+    records = table.to_records()
+    times, events = survival_arrays(table)
     z = np.array([r.covariates["z"] for r in records])
     km1 = km_estimate(times[z == 1.0], events[z == 1.0])
     km0 = km_estimate(times[z == 0.0], events[z == 0.0])
@@ -133,7 +135,7 @@ def test_survival_sim_null_hazard_ratio_balances_groups():
 
 
 def test_survival_sim_score_is_the_analytic_risk():
-    records = simulate_survival(100, 0.5, 0.7, 0.2, SeededGenerator(10))
+    records = simulate_survival(100, 0.5, 0.7, 0.2, SeededGenerator(10)).to_records()
     for r in records:
         z = r.covariates["z"]
         hazard = 0.5 * np.exp(0.7 * z)
@@ -171,16 +173,17 @@ def test_bootstrap_interval_is_iterable_pair():
 
 
 def test_bootstrap_overlaps_exact_interval_for_a_proportion():
-    records = simulate_binary_study(100, 0.4, 0.85, 0.9, SeededGenerator(15))
+    table = simulate_binary_study(100, 0.4, 0.85, 0.9, SeededGenerator(15))
+    records = table.to_records()
 
     def sens(sample):
-        c = confusion_from_records(sample)
+        c = confusion_from_records(StudyTable.from_records(sample))
         if c.n_positive == 0:
             raise ValueError("no positives in resample")
         return c.tp / c.n_positive
 
     boot = bootstrap_ci(sens, records, replicates=1000, level=0.95, gen=SeededGenerator(16))
-    conf = confusion_from_records(records)
+    conf = confusion_from_records(table)
     cp = proportion_ci(conf.tp, conf.n_positive)
     assert max(boot.lower, cp.lower) < min(boot.upper, cp.upper)
     assert abs(boot.lower - cp.lower) < 0.1

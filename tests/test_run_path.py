@@ -197,7 +197,11 @@ def test_qc_on_score_outputs_error(tmp_path):
 
 
 def test_accuracy_and_precision_output_errors(tmp_path):
-    data = _write(tmp_path / "d.csv", "subject_id,truth,output", ["s1,pos,pos", "s2,neg,ungradable"])
+    data = _write(
+        tmp_path / "d.csv",
+        "subject_id,truth,output,operator_id,device_unit_id",
+        ["s1,pos,pos,op1,u1", "s2,neg,ungradable,op1,u1"],
+    )
     report = _run(data, ["accuracy", "precision"])
     assert report.results["accuracy"]["error"] == (
         "ValueError: record 's2' has ungradable output; 2x2 accuracy requires binary "

@@ -1,18 +1,21 @@
 """Column kernels against the record loops they replace.
 
 Each `loop_*` function below is the seed's record-at-a-time implementation of
-a public kernel. The kernels now run on `StudyTable` columns (a record
-sequence goes through `StudyTable.from_records`), and must return the same
+a public kernel. The kernels run on `StudyTable` columns (each test hands
+them `StudyTable.from_records` of the records), and must return the same
 values, or raise the same error naming the same first offending subject.
 """
 
+import re
 from collections import Counter
+from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import daval
 from daval.accuracy import Confusion2x2, confusion_from_records
 from daval.agreement import precision_cells
 from daval.dataset import (
@@ -224,14 +227,16 @@ def _same(a, b) -> bool:
 @PROPERTY
 @given(_records())
 def test_validate_records(records):
-    assert _same(_outcome(validate_records, records), _outcome(loop_validate_records, records))
+    table = StudyTable.from_records(records)
+    assert _same(_outcome(validate_records, table), _outcome(loop_validate_records, records))
 
 
 @PROPERTY
 @given(_records(truth=st.sampled_from([None] + list(Label) * 6)))
 def test_confusion_and_triage(records):
+    table = StudyTable.from_records(records)
     for kernel, loop in ((confusion_from_records, loop_confusion_from_records), (triage_table, loop_triage_table)):
-        assert _same(_outcome(kernel, records), _outcome(loop, records))
+        assert _same(_outcome(kernel, table), _outcome(loop, records))
 
 
 _fields = st.lists(
@@ -243,14 +248,16 @@ _fields = st.lists(
 @PROPERTY
 @given(_records(kinds=st.one_of(_output, st.builds(DeviceOutput.score, st.floats(0.0, 1.0)))), _fields)
 def test_precision_cells(records, fields):
-    assert _same(_outcome(precision_cells, records, fields), _outcome(loop_precision_cells, records, fields))
+    table = StudyTable.from_records(records)
+    assert _same(_outcome(precision_cells, table, fields), _outcome(loop_precision_cells, records, fields))
 
 
 @PROPERTY
 @given(_records(), st.lists(st.sampled_from(["age", "marker", "weight"]), max_size=3))
 def test_survival_arrays_and_covariate_matrix(records, names):
-    assert _same(_outcome(survival_arrays, records), _outcome(loop_survival_arrays, records))
-    assert _same(_outcome(covariate_matrix, records, names), _outcome(loop_covariate_matrix, records, names))
+    table = StudyTable.from_records(records)
+    assert _same(_outcome(survival_arrays, table), _outcome(loop_survival_arrays, records))
+    assert _same(_outcome(covariate_matrix, table, names), _outcome(loop_covariate_matrix, records, names))
 
 
 @PROPERTY
@@ -258,7 +265,6 @@ def test_survival_arrays_and_covariate_matrix(records, names):
 def test_table_round_trips_records(records):
     table = StudyTable.from_records(records)
     assert len(table) == len(records)
-    assert StudyTable.of(table) is table
     assert list(table.to_records()) == records
 
 
@@ -268,3 +274,13 @@ def test_table_columns_are_read_only():
     )
     for column in (table.truth, table.score, table.covariates):
         assert not column.flags.writeable
+
+
+def test_only_dataset_names_the_record_types():
+    # The table is the one data form in the package: records exist only in
+    # dataset.py (ingest's records view and the table's conversions), and
+    # the package re-exports their types.
+    pattern = re.compile(r"\b(ValidationRecord|DeviceOutput|Survival)\b")
+    package = Path(daval.__file__).parent
+    naming = {path.name for path in package.glob("*.py") if pattern.search(path.read_text(encoding="utf-8"))}
+    assert naming == {"dataset.py", "__init__.py"}

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from daval.dataset import StudyTable
 from daval.resample import SeededGenerator, simulate_survival
 from daval.survival import (
     MonotoneLikelihoodError,
@@ -321,22 +322,22 @@ def test_prognostic_covariate_spreads_predicted_risks():
 def test_survival_arrays_requirements():
     with pytest.raises(ValueError, match="duplicate"):
         survival_arrays(
-            [survival_record("s1", 1.0, True), survival_record("s1", 2.0, False)]
+            StudyTable.from_records([survival_record("s1", 1.0, True), survival_record("s1", 2.0, False)])
         )
     with pytest.raises(ValueError, match="no follow-up"):
-        survival_arrays([score_record("s1", 0.5)])
+        survival_arrays(StudyTable.from_records([score_record("s1", 0.5)]))
     times, events = survival_arrays(
-        [survival_record("a", 3.0, True), survival_record("b", 1.0, False)]
+        StudyTable.from_records([survival_record("a", 3.0, True), survival_record("b", 1.0, False)])
     )
     assert times.tolist() == [3.0, 1.0]
     assert events.tolist() == [True, False]
 
 
 def test_covariate_matrix_errors_on_missing_name():
-    records = [
+    records = StudyTable.from_records([
         survival_record("a", 1.0, True, covariates={"age": 60.0}),
         survival_record("b", 2.0, False, covariates={"age": 50.0}),
-    ]
+    ])
     mat = covariate_matrix(records, ["age"])
     assert mat.tolist() == [[60.0], [50.0]]
     with pytest.raises(ValueError, match="marker"):
