@@ -274,22 +274,26 @@ def posttest_risk(pretest, lr):
     return odds / (1 + odds)
 
 
-def _binom_sf_at_least(x: int, n: int, p: float) -> float:
-    """P(X >= x) for X ~ Binomial(n, p), exact."""
-    if x <= 0:
-        return 1.0
-    return float(stats.binom.sf(x - 1, n, p))
+def _sf_at_least(x: np.ndarray, n: np.ndarray, p: float) -> np.ndarray:
+    """P(X >= x) for X ~ Binomial(n, p), exact, element by element."""
+    return np.where(x <= 0, 1.0, stats.binom.sf(x - 1, n, p))
 
 
-def _critical_count(n: int, goal: float, alpha: float) -> int:
-    """Smallest c with P(X >= c | p=goal) <= alpha; n+1 when no count rejects."""
-    # binom.isf gives the largest k with sf(k) > alpha, so c = k + 1; guard edges.
-    k = int(stats.binom.isf(alpha, n, goal))
-    c = k + 1
-    while c > 0 and _binom_sf_at_least(c - 1, n, goal) <= alpha:
-        c -= 1
-    while c <= n and _binom_sf_at_least(c, n, goal) > alpha:
-        c += 1
+def _critical_counts(n: np.ndarray, goal: float, alpha: float) -> np.ndarray:
+    """Smallest c per n with P(X >= c | p=goal) <= alpha; n+1 where no count rejects."""
+    # binom.isf gives the largest k with sf(k) > alpha, so c = k + 1; the two
+    # loops guard the edges, each over the elements still moving.
+    c = stats.binom.isf(alpha, n, goal).astype(np.int64) + 1
+    i = np.flatnonzero(c > 0)
+    while i.size:
+        i = i[_sf_at_least(c[i] - 1, n[i], goal) <= alpha]
+        c[i] -= 1
+        i = i[c[i] > 0]
+    i = np.flatnonzero(c <= n)
+    while i.size:
+        i = i[_sf_at_least(c[i], n[i], goal) > alpha]
+        c[i] += 1
+        i = i[c[i] <= n[i]]
     return c
 
 
@@ -307,11 +311,12 @@ def test_vs_goal(
         raise ValueError("goal must be in (0, 1)")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
-    p_value = _binom_sf_at_least(x, n, goal)
+    one_n = np.array([n])
+    p_value = float(_sf_at_least(np.array([x]), one_n, goal)[0])
     return GoalTestResult(
         p_value=p_value,
         reject=p_value <= alpha,
-        critical_count=_critical_count(n, goal, alpha),
+        critical_count=int(_critical_counts(one_n, goal, alpha)[0]),
         x=x,
         n=n,
         goal=goal,
@@ -329,8 +334,11 @@ def power_and_n(
     """Smallest n whose exact test reaches the target power at ``assumed_true``.
 
     Power at each n is P(X >= c_n | p = assumed_true) with c_n the exact
-    critical count; n is scanned upward from 1 (exact binomial power is not
-    monotone in n, so the first crossing is taken).
+    critical count. Exact binomial power is not monotone in n, so the first
+    crossing in n = 1, 2, ... is taken. The scan evaluates blocks of
+    consecutive n, 128 at first and doubling after each block, with a few
+    array calls into scipy per block, and returns the first crossing of the
+    first block that has one.
     """
     if not 0.0 < goal < 1.0 or not 0.0 < assumed_true < 1.0:
         raise ValueError("goal and assumed_true must be in (0, 1)")
@@ -338,18 +346,21 @@ def power_and_n(
         raise ValueError("assumed_true must exceed the performance goal")
     if not 0.0 < alpha < 1.0 or not 0.0 < target_power < 1.0:
         raise ValueError("alpha and target_power must be in (0, 1)")
-    for n in range(1, max_n + 1):
-        c = _critical_count(n, goal, alpha)
-        if c > n:
-            continue
-        power = _binom_sf_at_least(c, n, assumed_true)
-        if power >= target_power:
+    start, size = 1, 128
+    while start <= max_n:
+        n = np.arange(start, min(start + size, max_n + 1), dtype=np.int64)
+        c = _critical_counts(n, goal, alpha)
+        power = _sf_at_least(c, n, assumed_true)
+        hits = np.flatnonzero((c <= n) & (power >= target_power))
+        if hits.size:
+            i = hits[0]
             return PowerResult(
                 alpha=alpha,
-                power=power,
-                critical_count=c,
-                sample_size=n,
+                power=float(power[i]),
+                critical_count=int(c[i]),
+                sample_size=int(n[i]),
                 goal=goal,
                 assumed_true=assumed_true,
             )
+        start, size = start + size, 2 * size
     raise ValueError(f"no n <= {max_n} reaches power {target_power}")

@@ -326,10 +326,13 @@ class ValidationReport:
 
 def _check_columns(plan: AnalysisPlan, header: list[str], result: IngestResult) -> None:
     """Refuse a plan whose column parameter names a record field the dataset
-    has no column for, or whose numeric parameter names anything but a
-    covariate column of the ingested table: a column the dataset lacks, one
-    ingest excluded as text, or one it read as a canonical column."""
-    covariates = set(result.table.covariate_names)
+    has no column for, or leaves empty in every row, or whose numeric
+    parameter names anything but a covariate column of the ingested table: a
+    column the dataset lacks, one ingest excluded as text, or one it read as
+    a canonical column."""
+    table = result.table
+    covariates = set(table.covariate_names)
+    unfilled: list[str] = []
     for name in plan.analyses:
         params = plan.params[name]
         for param in ANALYSES[name].params:
@@ -340,6 +343,8 @@ def _check_columns(plan: AnalysisPlan, header: list[str], result: IngestResult) 
             for col in value if isinstance(value, list) else [value]:
                 if col in fields and plan.mapping.get(col, col) not in header:
                     raise PlanError(f"{key} record field {col!r} has no column in the dataset")
+                if col in fields and len(table) and all(v is None for v in getattr(table, col)):
+                    unfilled.append(f"{key} record field {col!r} has no value in any row")
                 if col in fields or (numeric and col in covariates):
                     continue
                 if not numeric:
@@ -356,6 +361,9 @@ def _check_columns(plan: AnalysisPlan, header: list[str], result: IngestResult) 
                 if fields:
                     raise PlanError(f"{key} {col!r} is neither a record field nor a column")
                 raise PlanError(f"{key} column {col!r} not in dataset")
+    # Raised last, so a column the plan misnames is reported first.
+    if unfilled:
+        raise PlanError(unfilled[0])
 
 
 def _block(result: Any, *names: str) -> Any:
@@ -683,10 +691,6 @@ def run_plan(plan: AnalysisPlan) -> ValidationReport:
         warnings.append(f"ingest: column {col!r} excluded (non-numeric values)")
     integrity = validate_records(table)
     warnings.extend(f"data: {w}" for w in integrity.warnings)
-    if integrity.duplicate_keys:
-        warnings.append(
-            f"data: {len(integrity.duplicate_keys)} duplicate (subject, replicate) keys"
-        )
 
     results: dict[str, dict] = {}
     plots: dict[str, tuple[tuple[str, ...], list[PlotColumn]]] = {}

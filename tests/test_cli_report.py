@@ -485,6 +485,42 @@ def test_precision_fails_on_condition_fields_without_columns(tmp_path, capsys):
     with pytest.raises(PlanError, match="^precision.condition_fields record field 'device_unit_id' has no"):
         run_plan(plan_from_dict(raw))
 
+
+def write_precision_ids_csv(path, filled):
+    """4 subjects x 6 scores with operator and device columns, no replicate_index."""
+    lines = ["subject_id,score,operator_id,device_unit_id"]
+    for s in range(4):
+        for r in range(6):
+            ids = f"op{r // 3},dev{r // 3}" if filled else ","
+            lines.append(f"s{s},{0.3 + 0.1 * s + 0.01 * r:.2f},{ids}")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+def test_precision_warns_once_about_duplicate_keys(tmp_path, capsys):
+    data = write_precision_ids_csv(tmp_path / "d.csv", filled=True)
+    assert cli_main(["precision", str(data)]) == 0
+    warnings = json.loads(capsys.readouterr().out)["warnings"]
+    assert [w for w in warnings if "duplicate" in w] == [
+        "data: 4 duplicate (subject_id, replicate_index) keys"
+    ]
+
+
+def test_precision_fails_on_condition_columns_without_values(tmp_path, capsys):
+    data = write_precision_ids_csv(tmp_path / "d.csv", filled=False)
+    assert cli_main(["precision", str(data)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: precision.condition_fields record field 'operator_id' has no value in any row\n"
+    )
+    # A column with values in some rows still groups its empty cells under "?".
+    text = data.read_text(encoding="utf-8").replace("s0,0.30,,", "s0,0.30,op0,dev0", 1)
+    data.write_text(text, encoding="utf-8")
+    assert cli_main(["precision", str(data)]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["precision"]["df_condition"] == 1
+
+
 def test_cli_seed_env_fallback(tmp_path, capsys, monkeypatch):
     data = write_binary_csv(tmp_path / "d.csv")
     monkeypatch.setenv("DAVAL_SEED", "7")

@@ -194,7 +194,8 @@ def test_plan_parameter_errors(analysis, params, pattern):
 
 # (analysis, parameters, mapping, pattern): each names a column demo.csv lacks
 # (run without its operator_id column), or where numbers are needed, one that
-# ingest reads as a canonical column. A pattern with alternatives accepts the
+# ingest reads as a canonical column; the last two name its device_unit_id
+# column, which is empty in every row. A pattern with alternatives accepts the
 # key-named wording of the message.
 COLUMN_ERRORS = [
     ("qc", {}, {"truth": "gold"}, _exact("mapped column 'gold' (for truth) not in dataset")),
@@ -224,6 +225,10 @@ COLUMN_ERRORS = [
      _exact("survival.groups_by record field 'operator_id' has no column in the dataset")),
     ("precision", {"condition_fields": ["device_unit_id", "operator_id"]}, {},
      _exact("precision.condition_fields record field 'operator_id' has no column in the dataset")),
+    ("precision", {"condition_fields": ["device_unit_id"]}, {},
+     _exact("precision.condition_fields record field 'device_unit_id' has no value in any row")),
+    ("survival", {"groups_by": "device_unit_id"}, {},
+     _exact("survival.groups_by record field 'device_unit_id' has no value in any row")),
 ]
 
 
