@@ -93,7 +93,6 @@ from .survival import (
     LrtResult,
     MonotoneLikelihoodError,
     added_value_lrt,
-    chi_square_sf,
     cox_fit,
     km_estimate,
     km_risk_at,

@@ -130,7 +130,7 @@ class PowerResult:
 
 
 def confusion_from_records(table: StudyTable) -> Confusion2x2:
-    """Tally records with truth and binary output into a 2x2 table.
+    """Tally a table's rows with truth and binary output into a 2x2 table.
 
     Ungradable or score outputs are rejected: score outputs belong to the
     risk-score analyses, and ungradable cases must go through the QC triage
@@ -153,6 +153,11 @@ def confusion_from_records(table: StudyTable) -> Confusion2x2:
         fn=int(np.count_nonzero(~called & diseased)),
         tn=int(np.count_nonzero(~called & ~diseased)),
     )
+
+
+def _normal_quantile(level: float) -> float:
+    """Two-sided standard normal critical value for a confidence level."""
+    return float(stats.norm.ppf(1 - (1 - level) / 2))
 
 
 def proportion_ci(
@@ -179,7 +184,7 @@ def proportion_ci(
         lower = 0.0 if x == 0 else float(stats.beta.ppf(alpha / 2, x, n - x + 1))
         upper = 1.0 if x == n else float(stats.beta.ppf(1 - alpha / 2, x + 1, n - x))
     elif method is CIMethod.WILSON:
-        z = float(stats.norm.ppf(1 - alpha / 2))
+        z = _normal_quantile(level)
         denom = 1 + z * z / n
         center = (p_hat + z * z / (2 * n)) / denom
         half = z * math.sqrt(p_hat * (1 - p_hat) / n + z * z / (4 * n * n)) / denom
@@ -239,7 +244,7 @@ def ratio_ci_log_method(
         return RatioCI(estimate=0.0, lower=0.0, upper=math.inf, level=level, degenerate=True)
     estimate = (num_x / num_n) / (den_x / den_n)
     se = math.sqrt(1 / num_x - 1 / num_n + 1 / den_x - 1 / den_n)
-    z = float(stats.norm.ppf(1 - (1 - level) / 2))
+    z = _normal_quantile(level)
     return RatioCI(
         estimate=estimate,
         lower=estimate * math.exp(-z * se),

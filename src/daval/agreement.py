@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy import stats
 
+from .accuracy import _normal_quantile
 from .dataset import OutputKind, StudyTable, first_row
 
 __all__ = [
@@ -66,7 +66,7 @@ def bland_altman(
     d = xa - ya
     mean = float(np.mean(d))
     sd = float(np.std(d, ddof=1))
-    z = float(stats.norm.ppf(1 - (1 - level) / 2))
+    z = _normal_quantile(level)
     halfwidth = z * sd * math.sqrt(1.0 / n + loa_multiplier**2 / (2.0 * (n - 1)))
     return AgreementResult(
         mean_difference=mean,
@@ -262,5 +262,5 @@ def variance_components(
     table: StudyTable,
     condition_fields: Sequence[str] = ("operator_id", "device_unit_id"),
 ) -> PrecisionComponents:
-    """Repeatability/reproducibility components from replicated Score records."""
+    """Repeatability/reproducibility components from a table's replicated score rows."""
     return variance_components_from_cells(precision_cells(table, condition_fields))

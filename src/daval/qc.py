@@ -89,7 +89,7 @@ class TriageConfusion:
 
 
 def triage_table(table: StudyTable) -> TriageConfusion:
-    """Partition records into the six triage cells.
+    """Partition a table's rows into the six triage cells.
 
     Score outputs are rejected: a continuous score must be thresholded into a
     binary call upstream before QC triage applies.

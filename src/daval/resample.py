@@ -199,14 +199,15 @@ def bootstrap_ci(
         raise ValueError("need at least 100 replicates")
     if not 0.0 < level < 1.0:
         raise ValueError("level must be in (0, 1)")
-    n = len(records)
+    rows = tuple(records)
+    n = len(rows)
     if n == 0:
         raise ValueError("no records")
     values = []
     n_missing = 0
     for r in range(replicates):
         idx = gen.substream(r).generator().integers(0, n, n)
-        sample = [records[i] for i in idx]
+        sample = [rows[i] for i in idx.tolist()]
         try:
             values.append(float(statistic(sample)))
         except Exception:

@@ -19,12 +19,12 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
 
 from .accuracy import (
     CIMethod,
     ProportionCI,
     RatioCI,
+    _normal_quantile,
     proportion_ci,
     ratio_ci_log_method,
 )
@@ -370,7 +370,7 @@ def auc_ci(roc: RocCurve, level: float = 0.95) -> tuple[float, float]:
         raise ValueError("DeLong interval needs >= 2 cases in each class")
     if not 0.0 < level < 1.0:
         raise ValueError("level must be in (0, 1)")
-    z = float(stats.norm.ppf(1 - (1 - level) / 2))
+    z = _normal_quantile(level)
     return (max(0.0, roc.auc - z * roc.auc_se), min(1.0, roc.auc + z * roc.auc_se))
 
 

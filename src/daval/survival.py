@@ -5,9 +5,8 @@ confidence intervals, risk read-off at a horizon, the k-group log-rank test,
 Cox partial-likelihood fitting with Breslow tie handling, and likelihood
 ratio tests for added biomarkers.
 
-Chi-square tail probabilities come from a local regularized incomplete gamma
-(power series below the a+1 crossover, modified Lentz continued fraction
-above) so no external distribution tables are involved.
+Chi-square p-values are scipy's regularized upper incomplete gamma,
+P(X >= x) = Q(df / 2, x / 2); a NaN statistic gets a NaN p-value.
 
 Censoring convention: event=False means right-censored at `time`; a censoring
 tied with an event at the same instant is treated as happening after it, so
@@ -21,8 +20,9 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
+from scipy.special import gammaincc
 
+from .accuracy import _normal_quantile
 from .dataset import StudyTable, first_row
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "LogrankResult",
     "CoxFit",
     "LrtResult",
-    "chi_square_sf",
     "km_estimate",
     "km_risk_at",
     "logrank",
@@ -50,63 +49,10 @@ COX_TOL = 1e-14
 COX_MAX_ITER = 100
 COX_LL_SLACK = 1e-12  # relative loss in log likelihood a Newton step may show
 COX_COEF_BOUND = 20.0
-_GAMMA_EPS = 1e-15
-_GAMMA_MAX_ITER = 10_000
 
 
 class MonotoneLikelihoodError(RuntimeError):
     """A Cox coefficient is unbounded (partial likelihood is monotone)."""
-
-
-def _lower_gamma_series(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(a, x) by power series (x < a + 1)."""
-    term = 1.0 / a
-    total = term
-    for n in range(1, _GAMMA_MAX_ITER):
-        term *= x / (a + n)
-        total += term
-        if abs(term) < abs(total) * _GAMMA_EPS:
-            break
-    return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-
-def _upper_gamma_cf(a: float, x: float) -> float:
-    """Regularized upper incomplete gamma Q(a, x) by modified Lentz (x >= a + 1)."""
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b if b != 0.0 else 1.0 / tiny
-    h = d
-    for i in range(1, _GAMMA_MAX_ITER):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _GAMMA_EPS:
-            break
-    return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-
-def chi_square_sf(x: float, df: float) -> float:
-    """Upper tail P(X >= x) for a chi-square variable with ``df`` degrees of freedom."""
-    if df <= 0:
-        raise ValueError("df must be positive")
-    if x <= 0.0:
-        return 1.0
-    a = df / 2.0
-    half = x / 2.0
-    if half < a + 1.0:
-        q = 1.0 - _lower_gamma_series(a, half)
-    else:
-        q = _upper_gamma_cf(a, half)
-    return min(1.0, max(0.0, q))
 
 
 @dataclass(frozen=True)
@@ -126,11 +72,6 @@ class KMCurve:
     def survival_at(self, t: float) -> float:
         idx = int(np.searchsorted(self.times, t, side="right")) - 1
         return 1.0 if idx < 0 else float(self.survival[idx])
-
-
-def _normal_quantile(level: float) -> float:
-    """Two-sided standard normal critical value for a confidence level."""
-    return float(stats.norm.ppf(1 - (1 - level) / 2))
 
 
 def _loglog_interval(s: float, gw_sum: float, z: float) -> tuple[float, float]:
@@ -310,7 +251,7 @@ def logrank(groups: Sequence[tuple[Sequence[float], Sequence[bool]]]) -> Logrank
     return LogrankResult(
         statistic=stat,
         df=k - 1,
-        p_value=chi_square_sf(stat, k - 1),
+        p_value=float(gammaincc((k - 1) / 2, stat / 2)),
         degenerate=False,
     )
 
@@ -542,11 +483,12 @@ def added_value_lrt(baseline: CoxFit, full: CoxFit, added_df: int) -> LrtResult:
             "on the same records, or a fit did not converge"
         )
     stat = max(stat, 0.0)
-    return LrtResult(statistic=stat, df=added_df, p_value=chi_square_sf(stat, added_df))
+    p_value = float(gammaincc(added_df / 2, stat / 2))
+    return LrtResult(statistic=stat, df=added_df, p_value=p_value)
 
 
 def survival_arrays(table: StudyTable) -> tuple[np.ndarray, np.ndarray]:
-    """Times and event indicators from records, one row per subject.
+    """Times and event indicators from a table, one row per subject.
 
     Duplicate subject ids are rejected: repeated follow-up intervals describe
     recurrent-event data, which this model does not cover.

@@ -1,14 +1,20 @@
-"""Golden reports: the demo plans reproduce their committed files byte for byte.
+"""Golden reports: the seeded plans reproduce their committed files byte for byte.
 
-The files under `tests/goldens/<plan>/` are `daval run --plan demo/<plan>.json
---seed 42 --format md` output. A change that alters any reported number, its
-formatting or a plot CSV fails here; regenerate the goldens only for a change
-that is meant to alter reports, and say why in CHANGES.md.
+A change that alters any reported number, its formatting or a plot CSV fails
+here. Regenerate the goldens only for a change that is meant to alter
+reports, and list every moved field in CHANGES.md. Each directory is the
+complete output of `daval run --seed 42 --format md` (`python -m daval.cli`
+without an installed package) into a fresh directory:
 
-`tests/goldens/plan_scores_10k/` is the same output for the seeded
-10,000-row risk-score plan that the `scores_10k_plan` fixture writes, and
-`tests/goldens/plan_cohort_10k/` for the 10,000-subject accuracy, qc,
-agreement and survival plan that the `cohort_10k_plan` fixture writes.
+- `plan`, `plan_scores`, `plan_agreement`: the demo plans,
+  `daval run --plan demo/<plan>.json --seed 42 --format md --out tests/goldens/<plan>`.
+- `plan_scores_10k` and `plan_cohort_10k`: the seeded 10,000-row risk-score
+  plan and the 10,000-subject accuracy, qc, agreement and survival plan that
+  the `scores_10k_plan` and `cohort_10k_plan` fixtures write. Let pytest
+  write them, `pytest tests/test_goldens.py -k 10k --basetemp=<dir>`, then
+  `daval run --plan <dir>/scores_10k0/plan_scores_10k.json --seed 42 --format md
+  --out tests/goldens/plan_scores_10k`, and the same with
+  `<dir>/cohort_10k0/plan_cohort_10k.json` into `tests/goldens/plan_cohort_10k`.
 """
 
 from pathlib import Path

@@ -1,10 +1,12 @@
 """Seeded simulators, percentile bootstrap, and the noisy-reuse ledger."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from daval.accuracy import accuracy_metrics, confusion_from_records, proportion_ci
-from daval.dataset import Label, OutputKind, StudyTable
+from daval.dataset import Label, OutputKind, StudyTable, ingest_csv
 from daval.resample import (
     NoisyQueryLedger,
     QueryBudgetError,
@@ -209,6 +211,48 @@ def test_bootstrap_validates_inputs():
         bootstrap_ci(np.mean, [], replicates=200, level=0.95, gen=SeededGenerator(18))
     with pytest.raises(ValueError):
         bootstrap_ci(np.mean, [1.0], replicates=200, level=1.0, gen=SeededGenerator(18))
+
+
+def _reference_bootstrap(statistic, records, replicates, level, gen):
+    """The per-index resampling loop: (lower, upper, n_missing)."""
+    n = len(records)
+    values = []
+    n_missing = 0
+    for r in range(replicates):
+        idx = gen.substream(r).generator().integers(0, n, n)
+        try:
+            values.append(float(statistic([records[i] for i in idx])))
+        except Exception:
+            n_missing += 1
+    lo, hi = np.quantile(values, [(1.0 - level) / 2.0, 1.0 - (1.0 - level) / 2.0])
+    return float(lo), float(hi), n_missing
+
+
+def _positive_rate(sample):
+    positives = sum(r.truth is Label.POSITIVE for r in sample)
+    if positives < 8:
+        raise ValueError("too few positives in resample")
+    return positives / len(sample)
+
+
+@pytest.mark.parametrize("source", ["list", "ingested"])
+def test_bootstrap_matches_per_index_loop_bit_for_bit(source):
+    if source == "list":
+        records = list(np.random.default_rng(7).normal(size=193))
+        statistic = np.median
+    else:
+        records = ingest_csv(Path(__file__).resolve().parent.parent / "demo" / "demo.csv").records
+        statistic = _positive_rate
+    gen = SeededGenerator(21, stream_id=3)
+    lo, hi, n_missing = _reference_bootstrap(statistic, records, 200, 0.9, gen)
+    if source == "list":
+        ci = bootstrap_ci(statistic, records, replicates=200, level=0.9, gen=gen)
+    else:  # a few resamples lack positives, so the missing-replicate path runs too
+        with pytest.warns(UserWarning, match=f"^{n_missing} bootstrap replicates missing"):
+            ci = bootstrap_ci(statistic, records, replicates=200, level=0.9, gen=gen)
+        assert n_missing > 0
+    assert (ci.lower.hex(), ci.upper.hex()) == (lo.hex(), hi.hex())
+    assert (ci.n_missing, ci.n_replicates) == (n_missing, 200 - n_missing)
 
 
 def test_noisy_query_zero_sd_is_identity_with_budget():
