@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy import stats
+from scipy.special import betainc, betaincinv, ndtri
 
 from .dataset import OutputKind, StudyTable, first_row
 
@@ -157,7 +157,7 @@ def confusion_from_records(table: StudyTable) -> Confusion2x2:
 
 def _normal_quantile(level: float) -> float:
     """Two-sided standard normal critical value for a confidence level."""
-    return float(stats.norm.ppf(1 - (1 - level) / 2))
+    return float(ndtri(1 - (1 - level) / 2))
 
 
 def proportion_ci(
@@ -181,8 +181,8 @@ def proportion_ci(
     alpha = 1.0 - level
     p_hat = x / n
     if method is CIMethod.CLOPPER_PEARSON:
-        lower = 0.0 if x == 0 else float(stats.beta.ppf(alpha / 2, x, n - x + 1))
-        upper = 1.0 if x == n else float(stats.beta.ppf(1 - alpha / 2, x + 1, n - x))
+        lower = 0.0 if x == 0 else float(betaincinv(x, n - x + 1, alpha / 2))
+        upper = 1.0 if x == n else float(betaincinv(x + 1, n - x, 1 - alpha / 2))
     elif method is CIMethod.WILSON:
         z = _normal_quantile(level)
         denom = 1 + z * z / n
@@ -280,25 +280,32 @@ def posttest_risk(pretest, lr):
 
 
 def _sf_at_least(x: np.ndarray, n: np.ndarray, p: float) -> np.ndarray:
-    """P(X >= x) for X ~ Binomial(n, p), exact, element by element."""
-    return np.where(x <= 0, 1.0, stats.binom.sf(x - 1, n, p))
+    """P(X >= x) for X ~ Binomial(n, p), exact, element by element.
+
+    For 0 < x <= n this is the regularized incomplete beta I_p(x, n - x + 1),
+    the function scipy's binomial survival function evaluates.
+    """
+    return np.where(x <= 0, 1.0, np.where(x > n, 0.0, betainc(x, n - x + 1, p)))
 
 
 def _critical_counts(n: np.ndarray, goal: float, alpha: float) -> np.ndarray:
     """Smallest c per n with P(X >= c | p=goal) <= alpha; n+1 where no count rejects."""
-    # binom.isf gives the largest k with sf(k) > alpha, so c = k + 1; the two
-    # loops guard the edges, each over the elements still moving.
-    c = stats.binom.isf(alpha, n, goal).astype(np.int64) + 1
-    i = np.flatnonzero(c > 0)
+    # Start near the answer: q is the Cornish-Fisher (1 - alpha) quantile of
+    # X, and P(X >= c) ~ P(N > c - 0.5) puts c near q + 0.5. -ndtri(alpha)
+    # stays finite where ndtri(1 - alpha) would not (alpha below 1e-16).
+    z = -ndtri(alpha)
+    q = n * goal + z * np.sqrt(n * goal * (1 - goal)) + (z * z - 1) * (1 - 2 * goal) / 6
+    c = np.clip(np.ceil(q + 0.5), 0, n + 1).astype(np.int64)
+    # The answer has P(X >= c - 1) > alpha >= P(X >= c), so the exact tail
+    # alone settles c; the start only sets the number of passes. Each pass
+    # reads both tails of the elements still moving in one call and steps
+    # them by one. The tail is 1 below 0 and 0 above n, so c stays in [0, n + 1].
+    i = np.arange(n.size)
     while i.size:
-        i = i[_sf_at_least(c[i] - 1, n[i], goal) <= alpha]
-        c[i] -= 1
-        i = i[c[i] > 0]
-    i = np.flatnonzero(c <= n)
-    while i.size:
-        i = i[_sf_at_least(c[i], n[i], goal) > alpha]
-        c[i] += 1
-        i = i[c[i] <= n[i]]
+        tail = _sf_at_least(np.concatenate((c[i] - 1, c[i])), np.tile(n[i], 2), goal)
+        step = (tail[i.size :] > alpha).astype(np.int64) - (tail[: i.size] <= alpha)
+        c[i] += step
+        i = i[step != 0]
     return c
 
 

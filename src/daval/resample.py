@@ -9,12 +9,13 @@ of their parameters plus the generator key.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Sequence, TypeVar
 
 import numpy as np
-from scipy import stats
+from scipy.special import ndtri
 
 from .dataset import OutputKind, StudyTable
 
@@ -128,7 +129,7 @@ def simulate_risk_scores(
     _check_unit_open(prevalence, "prevalence")
     if not 0.5 < auc_target < 1.0:
         raise ValueError(f"auc_target must lie in (0.5, 1), got {auc_target}")
-    delta = float(np.sqrt(2.0) * stats.norm.ppf(auc_target))
+    delta = float(np.sqrt(2.0) * ndtri(auc_target))
     rng = gen.generator()
     outcomes = rng.random(n) < prevalence
     latent = rng.normal(0.0, 1.0, n) + delta * outcomes
@@ -192,8 +193,9 @@ def bootstrap_ci(
     """Percentile interval of a statistic over case-resampled replicates.
 
     Replicate r draws its indices from gen.substream(r), so the interval does
-    not depend on evaluation order. A replicate where the statistic raises is
-    recorded as missing; more than 5% missing aborts the interval.
+    not depend on evaluation order. A replicate where the statistic raises or
+    returns a non-finite value is recorded as missing; more than 5% missing
+    aborts the interval.
     """
     if replicates < 100:
         raise ValueError("need at least 100 replicates")
@@ -209,8 +211,12 @@ def bootstrap_ci(
         idx = gen.substream(r).generator().integers(0, n, n)
         sample = [rows[i] for i in idx.tolist()]
         try:
-            values.append(float(statistic(sample)))
+            value = float(statistic(sample))
         except Exception:
+            value = math.nan
+        if math.isfinite(value):
+            values.append(value)
+        else:
             n_missing += 1
     if n_missing > 0.05 * replicates:
         raise RuntimeError(

@@ -1,10 +1,12 @@
 """The blocked sample-size search against the n-by-n scan it replaces.
 
-``power_and_n`` evaluates blocks of consecutive sample sizes with one array
-call per scipy binomial function. The reference here is the scalar scan:
-n = 1, 2, ... with one critical count and one power per n, each from scalar
-scipy calls. scipy's binomial functions compute every element on its own, so
-the two must agree field for field, and the power to the bit.
+``power_and_n`` evaluates blocks of consecutive sample sizes with a few array
+calls into ``scipy.special`` per block: ``ndtri`` for the start of the
+critical-count search and ``betainc`` for each binomial tail. The reference
+here is the scalar scan: n = 1, 2, ... with one critical count and one power
+per n, each from scalar ``scipy.stats.binom`` calls. Both compute every
+element on its own, and the binomial tail is the same incomplete beta, so the
+two must agree field for field, and the power to the bit.
 """
 
 import numpy as np
@@ -110,9 +112,9 @@ def test_critical_counts_of_a_block_match_one_n_at_a_time(goal):
     assert counts.tolist() == [ref_critical_count(k, goal, 0.05) for k in range(1, 400)]
 
 
-# (goal, alpha) where binom.isf lands off the critical count for some n, so the
-# guard loops move: at tiny alphas c walks down as many as 19 steps, and one
-# ulp below an sf value it steps up once.
+# (goal, alpha) where binom.isf lands off the critical count for some n, so a
+# search started there must move: at tiny alphas c walks down as many as 19
+# steps, and one ulp below an sf value it steps up once.
 GUARD_CASES = [
     (0.3, 5.277642575776606e-18),
     (0.3, 1.2157665459056911e-21),
@@ -133,16 +135,18 @@ def test_critical_counts_where_isf_needs_the_guards(goal, alpha):
 
 @pytest.fixture
 def binom_calls(monkeypatch):
-    """Number of scipy binom.sf and binom.isf calls so far."""
+    """Number of calls so far to the scipy.special functions the search makes:
+    ``ndtri`` starts each block's critical counts and ``betainc`` is each
+    binomial tail."""
     calls = {"n": 0}
-    for name in ("sf", "isf"):
-        original = getattr(stats.binom, name)
+    for name in ("ndtri", "betainc"):
+        original = getattr(accuracy, name)
 
         def counting(*args, _original=original, **kwargs):
             calls["n"] += 1
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(stats.binom, name, counting)
+        monkeypatch.setattr(accuracy, name, counting)
     return calls
 
 

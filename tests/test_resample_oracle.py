@@ -1,5 +1,6 @@
 """Seeded simulators, percentile bootstrap, and the noisy-reuse ledger."""
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -202,6 +203,30 @@ def test_bootstrap_aborts_when_statistic_fails_often():
 
     with pytest.raises(RuntimeError, match="unreliable"):
         bootstrap_ci(fragile, records, replicates=200, level=0.95, gen=SeededGenerator(17))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_bootstrap_counts_a_non_finite_statistic_as_missing(bad):
+    # Both statistics fail exactly when a resample starts with record 0: 7 of
+    # 200 replicates at seed 3 (under the 5% limit) and 15 at seed 2 (over it).
+    def returning(sample):
+        return bad if sample[0] == 0 else float(np.mean(sample))
+
+    def raising(sample):
+        if sample[0] == 0:
+            raise ValueError("first draw is record 0")
+        return float(np.mean(sample))
+
+    records = list(range(20))
+    cis = []
+    for statistic in (returning, raising):
+        with pytest.warns(UserWarning, match="^7 bootstrap replicates missing$"):
+            cis.append(bootstrap_ci(statistic, records, 200, 0.95, SeededGenerator(3)))
+    assert cis[0] == cis[1]
+    assert math.isfinite(cis[0].lower) and math.isfinite(cis[0].upper)
+    assert (cis[0].n_missing, cis[0].n_replicates) == (7, 193)
+    with pytest.raises(RuntimeError, match="^statistic failed on 15/200 resamples"):
+        bootstrap_ci(returning, records, 200, 0.95, SeededGenerator(2))
 
 
 def test_bootstrap_validates_inputs():
