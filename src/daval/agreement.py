@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -186,39 +187,54 @@ def variance_components_from_cells(
     condition component. Components pool across subjects weighted by their
     degrees of freedom, negative estimates clip to zero (flagged), and
     reproducibility is the root of the summed components.
+
+    Cell statistics come in blocks: the values lie in one flat array, subject
+    by subject, and the cells of each replicate count r form one (k, r) block
+    whose row means and within-cell sums of squares take one numpy call each.
+    An empty cell or a non-finite value raises ValueError naming its cell.
     """
     if not cells:
         raise ValueError("no measurements")
-    by_subject: dict[str, dict[tuple, Sequence[float]]] = {}
-    for (subject, cond), values in cells.items():
-        by_subject.setdefault(subject, {})[cond] = values
+    by_subject: dict[str, list[tuple[str, tuple]]] = {}
+    for key in cells:
+        by_subject.setdefault(key[0], []).append(key)
+    keys = [key for group in by_subject.values() for key in group]
+    sizes = [len(cells[key]) for key in keys]
+    if 0 in sizes:
+        raise ValueError(f"cell {keys[sizes.index(0)]!r} is empty")
+    flat = np.fromiter(chain.from_iterable(cells[key] for key in keys), dtype=float, count=sum(sizes))
+    finite = np.isfinite(flat)
+    starts = np.cumsum(sizes) - sizes
+    if not finite.all():
+        bad = int(np.searchsorted(starts, np.argmin(finite), side="right")) - 1
+        raise ValueError(f"cell {keys[bad]!r} holds a non-finite value")
+    cell_means, cell_ss, size_of = np.empty(len(keys)), np.empty(len(keys)), np.asarray(sizes)
+    for r in set(sizes):
+        rows = np.flatnonzero(size_of == r)
+        block = flat[starts[rows, None] + np.arange(r)]
+        cell_means[rows] = mu = np.mean(block, axis=1)
+        cell_ss[rows] = np.sum((block - mu[:, None]) ** 2, axis=1)
+    cell_means, cell_ss = cell_means.tolist(), cell_ss.tolist()
 
     ss_within_total = 0.0
     df_within_total = 0
     cond_weighted = 0.0
     df_cond_total = 0
     clipped = False
-    all_values: list[float] = []
 
+    first = 0
     for conditions in by_subject.values():
+        m = len(conditions)
+        counts, means = sizes[first : first + m], cell_means[first : first + m]
+        # A one-value cell's sum of squares is +0.0, so adding it changes nothing.
         ss_within = 0.0
-        df_within = 0
-        counts = []
-        means = []
-        values_flat: list[float] = []
-        for vals in conditions.values():
-            arr = np.asarray(vals, dtype=float)
-            values_flat.extend(arr.tolist())
-            counts.append(len(arr))
-            means.append(float(np.mean(arr)))
-            if len(arr) >= 2:
-                ss_within += float(np.sum((arr - np.mean(arr)) ** 2))
-                df_within += len(arr) - 1
-        all_values.extend(values_flat)
+        for ss in cell_ss[first : first + m]:
+            ss_within += ss
+        df_within = sum(counts) - m
+        first += m
         ss_within_total += ss_within
         df_within_total += df_within
 
-        m = len(conditions)
         if m >= 2:
             n_total = sum(counts)
             subject_mean = sum(c * mu for c, mu in zip(counts, means)) / n_total
@@ -241,7 +257,7 @@ def variance_components_from_cells(
     repeat_sd = math.sqrt(var_repeat)
     cond_sd = math.sqrt(var_cond_pooled)
     repro_sd = math.sqrt(var_repeat + var_cond_pooled)
-    grand_mean = float(np.mean(all_values))
+    grand_mean = float(np.mean(flat))
     cv_rep = 100.0 * repeat_sd / abs(grand_mean) if grand_mean != 0.0 else None
     cv_repro = 100.0 * repro_sd / abs(grand_mean) if grand_mean != 0.0 else None
     return PrecisionComponents(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -63,6 +64,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None, help="seed recorded in the report (or DAVAL_SEED)")
 
 
+@functools.cache  # one parser per process; parse_args keeps no state in it
 def build_parser() -> _Parser:
     parser = _Parser(prog="daval", description="Diagnostic device validation toolkit")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -1,14 +1,17 @@
 """Plan validation, report assembly, file emission, and the command line."""
 
+import argparse
 import csv
 import json
 import os
 
 import pytest
 
+from daval import cli
 from daval.cli import main as cli_main
 from daval.dataset import ingest_csv
 from daval.report import (
+    ANALYSES,
     IngestError,
     PlanError,
     canonical_hash,
@@ -593,3 +596,43 @@ def test_cli_refuses_an_oversize_field_with_its_row(tmp_path, capsys, quoted):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     assert f"row 2: field larger than field limit ({csv.field_size_limit()})" in err
+
+
+def test_cli_builds_one_parser_per_process(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("DAVAL_SEED", raising=False)
+    data = write_binary_csv(tmp_path / "d.csv")
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps({"dataset": "d.csv", "analyses": ["accuracy"], "seed": 2}), encoding="utf-8")
+    built = {"n": 0}
+    original = cli._Parser.__init__
+
+    def counting(self, *args, **kwargs):
+        built["n"] += 1
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting)
+    cli.build_parser.cache_clear()
+
+    assert cli_main(["run", "--plan", str(plan_path), "--seed", "7"]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 7
+    first_build = built["n"]  # the top-level parser and one per subcommand
+    assert first_build == len(ANALYSES) + 3
+    # No state carries over: without --seed the plan's own seed is reported.
+    assert cli_main(["run", "--plan", str(plan_path)]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 2
+
+    # A bad flag (exit 1) leaves the parser usable for the next call.
+    assert cli_main(["accuracy", str(data), "--no-such-flag"]) == 1
+    assert "--no-such-flag" in capsys.readouterr().err
+    assert cli_main(["accuracy", str(data), "--goal", "0.5"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["accuracy"]["counts"]["tp"] == 3
+    assert built["n"] == first_build
+
+    # --help prints what a freshly built parser prints.
+    fresh = cli.build_parser.__wrapped__()
+    fresh_sub = next(a for a in fresh._actions if isinstance(a, argparse._SubParsersAction)).choices
+    for argv, expected in ((["--help"], fresh), (["precision", "--help"], fresh_sub["precision"])):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == expected.format_help()
