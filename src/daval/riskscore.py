@@ -20,6 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._newton import newton_ascent
 from .accuracy import (
     CIMethod,
     ProportionCI,
@@ -50,12 +51,8 @@ __all__ = [
 ]
 
 SCORE_CLIP_EPS = 1e-6
-# Newton decrement grad' hess^-1 grad / 2 at which the recalibration fit
-# stops: the predicted rise in log likelihood from one more step, whatever
-# the scale of the design columns (Boyd & Vandenberghe 2004, section 9.5).
-NEWTON_TOL = 1e-14
+NEWTON_TOL = 1e-14  # Newton decrement at which a fit stops (see _newton.newton_ascent)
 NEWTON_MAX_ITER = 50
-NEWTON_LL_SLACK = 1e-12  # relative loss in log likelihood a Newton step may show
 SEPARATION_BOUND = 15.0
 SEPARATION_RESIDUAL_EPS = 1e-6
 
@@ -88,65 +85,6 @@ class CalibrationResult:
     n_clipped: int
 
 
-def _logistic_ll(eta: np.ndarray, y: np.ndarray) -> float:
-    # log(1 + e^eta) computed stably via logaddexp.
-    return float(np.sum(y * eta - np.logaddexp(0.0, eta)))
-
-
-def _newton_logistic(
-    design: np.ndarray, y: np.ndarray, offset: np.ndarray, theta0: np.ndarray
-) -> tuple[np.ndarray, int, bool, float]:
-    """Maximize the Bernoulli log-likelihood of y on ``design @ theta + offset``.
-
-    Newton iteration with step-halving on likelihood decrease, stopped when
-    the Newton decrement before a step is below NEWTON_TOL; declares perfect
-    separation when a coefficient escapes past SEPARATION_BOUND while the
-    likelihood is still climbing.
-    """
-    theta = theta0.astype(float).copy()
-    eta = design @ theta + offset
-    ll = _logistic_ll(eta, y)
-    last_decrement = math.inf
-    for iteration in range(1, NEWTON_MAX_ITER + 1):
-        mu = 1.0 / (1.0 + np.exp(-eta))
-        grad = design.T @ (y - mu)
-        if not grad.any():
-            return theta, iteration - 1, True, ll
-        w = mu * (1.0 - mu)
-        hess = design.T @ (design * w[:, None])
-        try:
-            step = np.linalg.solve(hess, grad)
-        except np.linalg.LinAlgError:
-            raise PerfectSeparationError(
-                "singular information matrix during recalibration fit"
-            ) from None
-        decrement = grad @ step / 2
-        # Stop once a further step would gain less than NEWTON_TOL, or once
-        # the gain is too small to change the log likelihood and has stopped
-        # falling: the gradient is then rounding noise.
-        if decrement < NEWTON_TOL or (ll + decrement == ll and decrement >= last_decrement):
-            return theta, iteration - 1, True, ll
-        last_decrement = decrement
-        # Rounding in the sum over subjects can make a good step read as a
-        # small loss; losses within the likelihood's relative rounding pass.
-        slack = NEWTON_LL_SLACK * max(1.0, abs(ll))
-        scale = 1.0
-        for _ in range(30):
-            cand = theta + scale * step
-            eta_cand = design @ cand + offset
-            ll_cand = _logistic_ll(eta_cand, y)
-            if ll_cand >= ll - slack:
-                break
-            scale *= 0.5
-        theta, eta, ll = cand, eta_cand, ll_cand
-        if np.max(np.abs(theta)) > SEPARATION_BOUND:
-            raise PerfectSeparationError(
-                f"coefficient escaped past {SEPARATION_BOUND} with likelihood still "
-                "increasing; the outcomes are separated on the score"
-            )
-    return theta, NEWTON_MAX_ITER, False, ll
-
-
 def fit_recalibration(
     scores: Sequence[float],
     outcomes: Sequence[bool],
@@ -158,7 +96,10 @@ def fit_recalibration(
 
     INTERCEPT_ONLY constrains the slope to 1 and the fitted intercept is the
     calibration-in-the-large; INTERCEPT_AND_SLOPE frees both. Scores are
-    clipped to [eps, 1-eps] before the logit (clipped count reported).
+    clipped to [eps, 1-eps] before the logit (clipped count reported). The
+    fit takes damped Newton steps (``_newton.newton_ascent`` states the
+    stopping and step-halving rule); a singular information matrix, or a
+    coefficient escaping past SEPARATION_BOUND, raises PerfectSeparationError.
     """
     s = np.asarray(scores, dtype=float)
     y = np.asarray(outcomes, dtype=float)
@@ -176,15 +117,38 @@ def fit_recalibration(
     z = np.log(clipped / (1.0 - clipped))
 
     if mode is CalibrationMode.INTERCEPT_ONLY:
-        design = np.ones((len(z), 1))
-        theta, iters, converged, ll = _newton_logistic(design, y, offset=z, theta0=np.zeros(1))
-        intercept, slope = float(theta[0]), 1.0
+        design, offset, theta0 = np.ones((len(z), 1)), z, np.zeros(1)
     else:
         design = np.column_stack([np.ones_like(z), z])
-        theta, iters, converged, ll = _newton_logistic(
-            design, y, offset=np.zeros_like(z), theta0=np.array([0.0, 1.0])
-        )
-        intercept, slope = float(theta[0]), float(theta[1])
+        offset, theta0 = np.zeros_like(z), np.array([0.0, 1.0])
+
+    def objective(theta):
+        # Each n-vector is dropped once used. With fewer alive at once, glibc
+        # malloc keeps the freed memory instead of returning it to the system
+        # and faulting it back in on the next call: at n = 1e5 a fit took
+        # 4,700 page faults with all of them alive, and 30 like this.
+        eta = design @ theta + offset
+        ll = float(np.sum(y * eta - np.logaddexp(0.0, eta)))  # stable log(1 + e^eta)
+        # exp(-eta) overflows only for a step the halving or the bound check
+        # then rejects: within the bound |eta| <= 15 (1 + logit(1 - eps)).
+        with np.errstate(over="ignore"):
+            mu = 1.0 / (1.0 + np.exp(-eta))
+        del eta
+        grad = design.T @ (y - mu)
+        w = mu * (1.0 - mu)
+        del mu
+        return ll, grad, design.T @ (design * w[:, None])
+
+    theta, ll, iters, converged = newton_ascent(
+        objective, theta0, objective(theta0),
+        tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER, max_halvings=30, bound=SEPARATION_BOUND,
+        error=PerfectSeparationError,
+        singular="singular information matrix during recalibration fit",
+        escaped="the outcomes are separated on the score",
+    )
+    intercept, slope = float(theta[0]), 1.0
+    if mode is CalibrationMode.INTERCEPT_AND_SLOPE:
+        slope = float(theta[1])
         # The in-loop coefficient bound only catches runaways; a gradient that
         # dies just under the bound with every outcome fitted exactly is the
         # same monotone likelihood and must not return silent huge slopes.

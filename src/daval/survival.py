@@ -22,6 +22,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import gammaincc
 
+from ._newton import newton_ascent
 from .accuracy import _normal_quantile
 from .dataset import StudyTable, first_row
 
@@ -41,13 +42,8 @@ __all__ = [
     "covariate_matrix",
 ]
 
-# Newton decrement grad' info^-1 grad / 2 at which a Cox fit stops: the
-# predicted rise in log likelihood from one more step, which, unlike the
-# gradient, does not depend on the covariates' units (Boyd & Vandenberghe
-# 2004, Convex Optimization, section 9.5).
-COX_TOL = 1e-14
+COX_TOL = 1e-14  # Newton decrement at which a fit stops (see _newton.newton_ascent)
 COX_MAX_ITER = 100
-COX_LL_SLACK = 1e-12  # relative loss in log likelihood a Newton step may show
 COX_COEF_BOUND = 20.0
 
 
@@ -333,7 +329,7 @@ def _cox_ll_grad_hess(
     """
     p = x.shape[1]
     eta = x @ beta
-    # Guard exp against overflow while the bound check in the caller is pending.
+    # Guard exp against overflow while the Newton loop's bound check is pending.
     w = np.exp(np.clip(eta, -700, 700))[sweep.order]
     xs = x[sweep.order]
     at, ev = sweep.block_end, sweep.event_pos
@@ -359,11 +355,11 @@ def cox_fit(
 ) -> CoxFit:
     """Newton maximization of the Breslow-ties Cox partial likelihood.
 
-    Step-halving keeps the log partial likelihood nondecreasing; a coefficient
-    escaping past COX_COEF_BOUND while the likelihood still climbs raises
-    MonotoneLikelihoodError instead of returning a silently huge estimate.
-    The fit has converged when the Newton decrement before a step is below
-    COX_TOL, whatever the scale or centring of the covariates.
+    Damped Newton steps from beta = 0 (``_newton.newton_ascent`` states the
+    stopping and step-halving rule). A singular information matrix, or a
+    coefficient escaping past COX_COEF_BOUND while the likelihood still
+    climbs, raises MonotoneLikelihoodError instead of returning a silently
+    huge estimate. Covariates must be finite.
     """
     x = np.asarray(covariates, dtype=float)
     if x.ndim == 1:
@@ -375,6 +371,8 @@ def cox_fit(
         raise ValueError("covariates, times and events must agree in length")
     if np.any(np.isnan(x)):
         raise ValueError("missing covariate values")
+    if np.any(np.isinf(x)):
+        raise ValueError("covariate values must be finite")
     if np.any(np.isnan(t)):
         raise ValueError("times must not be NaN")
     n_events = int(e.sum())
@@ -394,68 +392,20 @@ def cox_fit(
     tied = int(counts[counts >= 2].sum())
     tie_fraction = tied / n_events
 
-    beta = np.zeros(p)
-    ll, grad, info = _cox_ll_grad_hess(beta, x, sweep)
-    ll_null = ll
-    if p == 0:
-        return CoxFit(
-            coefficients={},
-            log_partial_likelihood=ll_null,
-            null_log_partial_likelihood=ll_null,
-            iterations=0,
-            converged=True,
-            ties_method="breslow",
-            n=n,
-            n_events=n_events,
-            tie_fraction=tie_fraction,
-        )
-    converged = False
-    iterations = 0
-    last_decrement = math.inf
-    for iteration in range(1, COX_MAX_ITER + 1):
-        if not grad.any():  # exactly flat, as for an all-zero covariate: nothing to solve
-            converged = True
-            iterations = iteration - 1
-            break
-        try:
-            step = np.linalg.solve(info, grad)
-        except np.linalg.LinAlgError:
-            raise MonotoneLikelihoodError(
-                "singular information matrix in Cox fit (flat likelihood direction)"
-            ) from None
-        decrement = grad @ step / 2
-        # Stop once a further step would gain less than COX_TOL, or once the
-        # gain is too small to change the log likelihood and has stopped
-        # falling: the gradient is then rounding noise.
-        if decrement < COX_TOL or (ll + decrement == ll and decrement >= last_decrement):
-            converged = True
-            iterations = iteration - 1
-            break
-        last_decrement = decrement
-        # Rounding in the sums over subjects can make a good step read as a
-        # small loss; losses within the likelihood's relative rounding pass.
-        slack = COX_LL_SLACK * max(1.0, abs(ll))
-        scale = 1.0
-        for _ in range(40):
-            cand = beta + scale * step
-            ll_cand, grad_cand, info_cand = _cox_ll_grad_hess(cand, x, sweep)
-            if ll_cand >= ll - slack:
-                break
-            scale *= 0.5
-        beta, ll, grad, info = cand, ll_cand, grad_cand, info_cand
-        iterations = iteration
-        if np.max(np.abs(beta)) > COX_COEF_BOUND:
-            raise MonotoneLikelihoodError(
-                f"coefficient escaped past {COX_COEF_BOUND} with likelihood still "
-                "increasing; a covariate perfectly orders the event times"
-            )
-    else:
-        iterations = COX_MAX_ITER
+    beta0 = np.zeros(p)
+    start = _cox_ll_grad_hess(beta0, x, sweep)
+    beta, ll, iterations, converged = newton_ascent(
+        lambda beta: _cox_ll_grad_hess(beta, x, sweep), beta0, start,
+        tol=COX_TOL, max_iter=COX_MAX_ITER, max_halvings=40, bound=COX_COEF_BOUND,
+        error=MonotoneLikelihoodError,
+        singular="singular information matrix in Cox fit (flat likelihood direction)",
+        escaped="a covariate perfectly orders the event times",
+    )
 
     return CoxFit(
         coefficients={name: float(b) for name, b in zip(names, beta)},
         log_partial_likelihood=float(ll),
-        null_log_partial_likelihood=float(ll_null),
+        null_log_partial_likelihood=float(start[0]),
         iterations=iterations,
         converged=converged,
         ties_method="breslow",

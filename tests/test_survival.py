@@ -224,6 +224,17 @@ def test_cox_monotone_likelihood_is_reported():
         cox_fit(x, times, events)
 
 
+def test_cox_refuses_infinite_covariates():
+    # An infinite covariate used to run every step and halving and return a
+    # NaN coefficient, unconverged; NaN keeps its own message.
+    times, events = [1.0, 2.0, 3.0, 4.0], [True, False, True, True]
+    for bad in (math.inf, -math.inf):
+        with pytest.raises(ValueError, match="^covariate values must be finite$"):
+            cox_fit([[0.5, 1.0], [bad, 2.0], [1.5, 0.0], [2.0, 1.0]], times, events)
+    with pytest.raises(ValueError, match="^missing covariate values$"):
+        cox_fit([0.5, math.nan, 1.5, math.inf], times, events)
+
+
 def test_cox_input_validation():
     with pytest.raises(ValueError):
         cox_fit([1.0, float("nan")], [1.0, 2.0], [True, True])
