@@ -122,7 +122,13 @@ def _resolve_seed(explicit: int | None) -> int | None:
 
 def _finish(report, args) -> int:
     if args.out:
-        for path in emit_report(report, args.out, args.format):
+        try:
+            written = emit_report(report, args.out, args.format)
+        except FileExistsError:
+            raise CliError(f"--out {args.out} is a file, not a directory") from None
+        except OSError as exc:
+            raise CliError(f"cannot write the report to {args.out}: {exc.strerror}") from None
+        for path in written:
             print(path)
     elif args.format == "md":
         print(render_markdown(report))
@@ -180,7 +186,10 @@ def _cmd_simulate(args) -> int:
             table = simulate_survival(args.n, *need("baseline_hazard", "log_hazard_ratio", "censor_rate"), gen)
     except ValueError as exc:  # a parameter out of its range
         raise CliError(f"simulate --kind {args.kind}: {exc}") from None
-    serialize_records(table, args.out)
+    try:
+        serialize_records(table, args.out)
+    except OSError as exc:
+        raise CliError(f"cannot write {args.out}: {exc.strerror}") from None
     print(args.out)
     return 0
 

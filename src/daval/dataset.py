@@ -1,4 +1,4 @@
-"""Canonical data model and CSV ingestion for validation datasets.
+r"""Canonical data model and CSV ingestion for validation datasets.
 
 A validation dataset is one :class:`StudyTable`: a column per field, entry i
 of every column describing row i (one subject/case). Ingest fills the table
@@ -18,6 +18,18 @@ The CSV schema is remappable: callers supply a column mapping (canonical name
 covariate. Malformed rows are quarantined with their row number instead of
 being silently dropped; ``strict=True`` turns any quarantined row into a hard
 failure.
+
+Ingest reads the file's UTF-8 bytes ``_CHUNK_ROWS`` lines at a time, and makes
+one Python string per distinct cell rather than one per cell (subject ids
+aside). A text with no quote, no NUL byte and no ``\r`` outside a ``\r\n`` is
+split in bytes: numpy finds each chunk's line ends and commas, and a chunk
+whose nonblank lines each hold one cell per header name gives each cell's
+offset and length. A column's distinct cells come from ``np.unique`` over its
+cells' bytes, read as one integer per cell of up to 8 bytes (longer cells are
+compared as text), and each distinct cell is decoded once, its value taken for
+every row that holds it. A chunk with a ragged row or a line over
+``csv.field_size_limit()``, and all of any other text, is read by
+``csv.reader`` and factorised the same way.
 """
 
 from __future__ import annotations
@@ -31,7 +43,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from itertools import chain, islice, repeat
+from itertools import islice
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -357,44 +369,56 @@ def _resolve_mapping(
 _CHUNK_ROWS = 65_536  # lines ingest splits and decodes at a time
 
 
+def _rows_marked(codes: np.ndarray, marks: Mapping[int, str]) -> list[tuple[int, str]]:
+    """(row, message) for each row whose code has a message in ``marks``."""
+    if not marks:
+        return []
+    rows = np.flatnonzero(np.isin(codes, list(marks)))
+    return list(zip(rows.tolist(), map(marks.__getitem__, codes[rows].tolist())))
+
+
 class _Column:
-    """A column decoded chunk by chunk, each distinct cell once: ``values``
-    maps cells to values, ``failures`` maps each cell whose decode raised
-    ValueError (it decodes to ``failed``) to the message. Both carry over to
-    the next chunk until they pass ``_CHUNK_ROWS`` cells, so equal cells share
-    one value and the cache stays bounded. ``parts`` holds each chunk's values.
+    """A column decoded chunk by chunk, each distinct cell once.
+
+    A chunk comes factorised: its distinct cells, and per row the code (the
+    position among them) of the row's cell. ``values`` maps cells to values,
+    ``failures`` maps each cell whose decode raised ValueError (it decodes to
+    ``failed``) to the message. Both carry over to the next chunk until they
+    pass ``_CHUNK_ROWS`` cells, so equal cells share one value and the cache
+    stays bounded. A chunk's values are its distinct values taken by the
+    codes; ``parts`` holds each chunk's values, and ``faults`` the (row,
+    message) pairs of the last chunk's failing cells.
     """
 
-    def __init__(self, decode: Callable[[str], object], failed: object, dtype=None):
+    def __init__(self, decode: Callable[[str], object], failed: object, dtype=object):
         self.decode, self.failed, self.dtype = decode, failed, dtype
         self.values, self.failures, self.parts = {}, {}, []
+        self.faults: list[tuple[int, str]] = []
 
-    def add(self, cells: Sequence[str]) -> list | np.ndarray:
-        """The values of one chunk's cells (a list, or an array of ``dtype``), kept."""
-        values = self.values
+    def add(self, distinct: Sequence[str], codes: np.ndarray) -> np.ndarray:
+        """The values (an array of ``dtype``) of one chunk's cells, kept."""
+        values, failures = self.values, self.failures
         if len(values) > _CHUNK_ROWS:
             values.clear()
-            self.failures.clear()
-        distinct = set(cells)
-        for raw in distinct.difference(values):
-            try:
-                values[raw] = self.decode(raw)
-            except ValueError as exc:
-                values[raw], self.failures[raw] = self.failed, str(exc)
-        if len(distinct) == 1:  # a constant or empty column
-            value = values[cells[0]]
-            decoded = [value] * len(cells) if self.dtype is None else np.full(len(cells), value, self.dtype)
+            failures.clear()
+        for raw in distinct:
+            if raw not in values:
+                try:
+                    values[raw] = self.decode(raw)
+                except ValueError as exc:
+                    values[raw], failures[raw] = self.failed, str(exc)
+        if len(distinct) == 1:  # a constant or empty column: its one value, shared
+            decoded = np.empty(len(codes), self.dtype)
+            decoded.fill(values[distinct[0]])
         else:
-            decoded = list(map(values.__getitem__, cells))
-            if self.dtype is not None:
-                decoded = np.array(decoded, dtype=self.dtype)
+            decoded = np.array([values[raw] for raw in distinct], self.dtype)[codes]
         self.parts.append(decoded)
+        marks = {d: failures[raw] for d, raw in enumerate(distinct) if raw in failures} if failures else {}
+        self.faults = _rows_marked(codes, marks)
         return decoded
 
-    def joined(self) -> list | np.ndarray:
+    def joined(self) -> np.ndarray:
         """Every chunk's values, in row order."""
-        if self.dtype is None:
-            return list(chain.from_iterable(self.parts))
         return np.concatenate(self.parts or [np.empty(0, self.dtype)])
 
 
@@ -521,83 +545,210 @@ def _lines(text: str) -> Iterator[str]:
         start = end
 
 
-def _strided(cells: list[str], width: int) -> list[list[str]]:
-    """One list of cells per header position, from the cells of whole rows."""
-    return [cells[j::width] for j in range(width)]
+def _factorised(cells: Sequence[str]) -> tuple[list[str], np.ndarray]:
+    """The distinct cells, in order of first appearance, and each cell's code."""
+    index = dict.fromkeys(cells)
+    for code, raw in enumerate(index):
+        index[raw] = code
+    return list(index), np.array(list(map(index.__getitem__, cells)), np.intp)
 
 
-def _columns(rows: list[list[str]], width: int) -> list[list[str]]:
-    """One list of cells per header position, from rows cut or padded to ``width``."""
-    if set(map(len, rows)) - {width}:
-        rows = [row[:width] + [""] * (width - len(row)) for row in rows]
-    return _strided(list(chain.from_iterable(rows)), width)
+class _TextChunk:
+    """Rows read by ``csv.reader``, cut or padded to ``width`` cells: one
+    sequence of cells per header position."""
+
+    def __init__(self, rows: list[list[str]], width: int):
+        if set(map(len, rows)) - {width}:
+            rows = [row[:width] + [""] * (width - len(row)) for row in rows]
+        self.columns = list(zip(*rows))
+
+    def texts(self, j: int) -> Sequence[str]:
+        return self.columns[j]
+
+    def cells(self, j: int) -> tuple[list[str], np.ndarray]:
+        return _factorised(self.columns[j])
 
 
-def _read_rows(text: str, source: object) -> Iterator:
-    r"""Yield the stripped header names (parsed from the first line alone,
-    unless it holds a quote), then the data rows in chunks of up to
-    ``_CHUNK_ROWS`` lines: each chunk's row count and its cells, one list per
-    header position. Text with no quote, no ``\r`` outside a ``\r\n`` and no
-    line over ``csv.field_size_limit()`` is split on newlines and commas, other
-    text goes through ``csv.reader``; either way, as with ``csv.DictReader``,
-    blank lines are skipped and not counted, a short row reads empty cells and
-    cells past the header are ignored. A field over the limit raises
-    ValueError naming its data row.
+def _cell_texts(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> list[str]:
+    """The text of each cell of ``buf``, given by its start and length: the
+    cells' bytes joined by newlines, decoded once and split."""
+    ends = np.cumsum(lengths + 1)  # each cell's end in the joined bytes, past its newline
+    index = np.arange(lengths.sum() + len(lengths)) + np.repeat(starts - ends + lengths + 1, lengths + 1)
+    joined = buf[index]
+    joined[ends - 1] = 10
+    return joined.tobytes().decode("utf-8").split("\n")[:-1]
+
+
+# Masks that keep the first 0 to 8 bytes of a little-endian 8-byte word.
+_KEY_MASKS = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)
+
+
+def _key_texts(keys: np.ndarray) -> list[str]:
+    """The text of each key's cell: the keys' nonzero bytes, each key's
+    followed by a newline, decoded once and split."""
+    grid = np.full((len(keys), 9), 10, np.uint8)
+    grid[:, :8] = keys.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
+    return grid[grid != 0].tobytes().decode("utf-8").split("\n")[:-1]
+
+
+class _ByteChunk:
+    """Rows of one cell per header position, as offsets into the chunk's bytes
+    ``buf``, which end in at least 7 zero bytes: each row's first byte and
+    end (``starts``, ``ends``), and a row of ``commas`` per row."""
+
+    def __init__(self, buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, commas: np.ndarray):
+        self.buf, self.starts, self.ends, self.commas = buf, starts, ends, commas
+        # The 8 bytes from each offset on, as one word: an unaligned view.
+        self.words = np.ndarray((len(buf) - 7,), "<u8", buf, 0, (1,))
+        # Each column's bytes in all: the sum of the delimiters after its
+        # cells less the sum of those before them, less one per row.
+        rows = len(starts)
+        bounds = np.concatenate(([starts.sum() - rows], commas.sum(axis=0), [ends.sum()]))
+        self.filled = (np.diff(bounds) - rows).tolist()
+
+    def _spans(self, j: int) -> tuple[np.ndarray, np.ndarray]:
+        """The starts and lengths of column ``j``'s cells."""
+        commas = self.commas
+        starts = self.starts if j == 0 else commas[:, j - 1] + 1
+        ends = self.ends if j == commas.shape[1] else commas[:, j]
+        return starts, ends - starts
+
+    def texts(self, j: int) -> list[str]:
+        starts, lengths = self._spans(j)
+        if lengths.max() <= 8:
+            return _key_texts(self.words[starts] & _KEY_MASKS[lengths])
+        return _cell_texts(self.buf, starts, lengths)
+
+    def cells(self, j: int) -> tuple[list[str], np.ndarray]:
+        """The distinct cells of column ``j`` and each row's code.
+
+        A cell of up to 8 bytes is keyed by its bytes, read as one word and
+        masked to its length; no NUL byte reaches this path, so the key fixes
+        the cell, and ``np.unique`` factorises the keys. Longer cells are
+        factorised as text.
+        """
+        if not self.filled[j]:  # an empty column
+            return [""], np.zeros(len(self.starts), np.intp)
+        starts, lengths = self._spans(j)
+        longest = lengths.max()
+        short = slice(None) if longest <= 8 else lengths <= 8
+        codes = np.empty(len(starts), np.intp)
+        keys = self.words[starts[short]] & _KEY_MASKS[lengths[short]]
+        keys, codes[short] = np.unique(keys, return_inverse=True)
+        distinct = _key_texts(keys)
+        if longest > 8:
+            long = lengths > 8
+            more, more_codes = _factorised(_cell_texts(self.buf, starts[long], lengths[long]))
+            codes[long] = more_codes + len(distinct)
+            distinct += more
+        return distinct, codes
+
+
+def _reader_chunks(rows: Iterator[list[str]], width: int, n: int) -> Iterator[tuple[int, _TextChunk]]:
+    """``csv.reader`` rows in chunks of up to ``_CHUNK_ROWS`` lines, blank lines
+    left out: each chunk's row count and the chunk. ``n`` data rows precede
+    them, so a csv.Error names its data row."""
+    while True:
+        chunk: list[list[str]] = []
+        try:
+            chunk.extend(islice(rows, _CHUNK_ROWS))  # keeps the rows read before an error
+        except csv.Error as exc:
+            raise ValueError(f"row {n + sum(map(bool, chunk)) + 1}: {exc}") from None
+        if not chunk:
+            return
+        chunk = list(filter(None, chunk))
+        n += len(chunk)
+        if chunk:
+            yield len(chunk), _TextChunk(chunk, width)
+
+
+_BOM = b"\xef\xbb\xbf"
+
+
+def _read_rows(data: bytes, source: object) -> Iterator:
+    r"""Yield the stripped header names, then the data rows in chunks of up to
+    ``_CHUNK_ROWS`` lines: each chunk's row count and the chunk, which gives
+    the cells of each header position as text (``texts``) or as distinct
+    cells and codes (``cells``). ``data`` is UTF-8 text; a leading byte-order
+    mark is dropped.
+
+    A text with no quote, no NUL byte and no ``\r`` outside a ``\r\n`` is
+    split in bytes: numpy finds each chunk's line ends and commas, and a
+    chunk whose nonblank lines each hold one cell per header position, and
+    none more than ``csv.field_size_limit()`` bytes, is a :class:`_ByteChunk`.
+    Any other chunk of such a text, and all of any other text, goes through
+    ``csv.reader``. The header is parsed by ``csv.reader`` too, from the first
+    line alone when the text is split in bytes. Either way, as with
+    ``csv.DictReader``, blank lines are skipped and not counted, a short row
+    reads empty cells and cells past the header are ignored. A field over the
+    limit raises ValueError naming its data row.
     """
-    end = text.find("\n") + 1
+    start = len(_BOM) if data.startswith(_BOM) else 0
+    bare_cr = b"\r" in data and data.count(b"\r") != data.count(b"\r\n")
+    plain = not (b'"' in data or b"\0" in data or bare_cr)
+    text = None if plain else data[start:].decode("utf-8")
+    first = data[start : data.find(b"\n", start) + 1 or len(data)].decode("utf-8") if plain else text
     try:
-        header = next(csv.reader(_lines(text[:end] if end and '"' not in text[:end] else text)), None)
+        header = next(csv.reader(_lines(first)), None)
     except csv.Error as exc:
         raise ValueError(f"{source} header row: {exc}") from None
     if header is None:
         raise ValueError(f"{source} is empty (no header row)")
     yield [name.strip() for name in header]
-    width, limit, returns = len(header), csv.field_size_limit(), text.count("\r")
-    lines = None
-    if '"' not in text and (not returns or returns == text.count("\r\n")):
-        lines = (text.replace("\r\n", "\n") if returns else text).split("\n")
-        if len(text) > limit and max(map(len, lines)) > limit:
-            lines = None  # csv.reader refuses a field over the limit with its row
-    if lines is None:
-        rows, n = csv.reader(_lines(text)), 0
+    width = len(header)
+    if text is not None:
+        rows = csv.reader(_lines(text))
         next(rows)
-        while True:
-            chunk: list[list[str]] = []
-            try:
-                chunk.extend(islice(rows, _CHUNK_ROWS))  # keeps the rows read before an error
-            except csv.Error as exc:
-                raise ValueError(f"row {n + sum(map(bool, chunk)) + 1}: {exc}") from None
-            if not chunk:
-                return
-            chunk = list(filter(None, chunk))
-            n += len(chunk)
-            if chunk:
-                yield len(chunk), _columns(chunk, width)
-    del text
-    lines.reverse()  # chunks are cut from the end, so each line is freed once read
-    lines.pop()  # the header
-    while lines:
-        chunk = list(filter(None, reversed(lines[-_CHUNK_ROWS:])))
-        del lines[-_CHUNK_ROWS:]
-        if chunk and set(map(str.count, chunk, repeat(","))) == {width - 1}:
-            yield len(chunk), _strided(",".join(chunk).split(","), width)
-        elif chunk:
-            yield len(chunk), _columns([line.split(",") for line in chunk], width)
+        yield from _reader_chunks(rows, width, 0)
+        return
+    buf = np.frombuffer(data, np.uint8)
+    line_ends = np.flatnonzero(buf[start:] == 10) + start
+    if not data.endswith(b"\n"):
+        line_ends = np.append(line_ends, len(data))
+    has_cr, limit, n = b"\r" in data, csv.field_size_limit(), 0
+    for first_line in range(1, len(line_ends), _CHUNK_ROWS):  # line 0 is the header
+        lo = line_ends[first_line - 1] + 1
+        ends = line_ends[first_line : first_line + _CHUNK_ROWS] - lo
+        chunk = np.zeros(ends[-1] + 8, np.uint8)  # the lines, and room to read 8 bytes at any offset
+        chunk[: ends[-1]] = buf[lo : lo + ends[-1]]
+        chunk[ends[-1]] = 10
+        starts = np.concatenate(([0], ends[:-1] + 1))
+        if has_cr:
+            ends -= chunk[ends - 1] == 13
+        nonblank = ends > starts
+        starts, ends = starts[nonblank], ends[nonblank]
+        rows = len(starts)
+        if not rows:
+            continue
+        commas = np.flatnonzero(chunk == 44)
+        if width and len(commas) == rows * (width - 1) and (ends[-1] <= limit or (ends - starts).max() <= limit):
+            commas = commas.reshape(rows, width - 1)
+            # The commas of each row's slot lie in its line, so every line holds its own.
+            if (commas[:, :1] >= starts[:, None]).all() and (commas[:, -1:] < ends[:, None]).all():
+                n += rows
+                yield rows, _ByteChunk(chunk, starts, ends, commas)
+                continue
+        # Ragged rows, or a line over the field limit: csv.reader reads the chunk.
+        lines = io.StringIO(chunk[: ends[-1]].tobytes().decode("utf-8"), newline="")
+        for rows, text_chunk in _reader_chunks(csv.reader(lines), width, n):
+            n += rows
+            yield rows, text_chunk
 
 
 def ingest_csv(
-    path: str | os.PathLike | IO[str],
+    path: str | os.PathLike | IO[str] | IO[bytes],
     mapping: Mapping[str, str] | None = None,
     strict: bool = False,
 ) -> IngestResult:
     """Read a validation dataset from a UTF-8 CSV file into a :class:`StudyTable`.
 
-    ``path`` is a file path, or an open text stream of the file's contents; a
-    leading byte-order mark is dropped. ``mapping`` translates canonical column
-    names to the file's actual headers; unmapped canonical names are matched by
-    identity when present. Every header not claimed by a canonical column is
-    treated as a covariate column if all of its nonempty cells parse as
-    numbers, and excluded (reported in ``excluded_columns``) otherwise.
+    ``path`` is a file path, or an open stream of the file's contents as text
+    or as bytes; a leading byte-order mark is dropped. ``mapping`` translates
+    canonical column names to the file's actual headers; unmapped canonical
+    names are matched by identity when present. Every header not claimed by a
+    canonical column is treated as a covariate column if all of its nonempty
+    cells parse as numbers, and excluded (reported in ``excluded_columns``)
+    otherwise.
 
     Rows that fail to parse, including non-finite time and covariate cells,
     are collected into ``errors`` with their 1-based data-row number and the
@@ -608,16 +759,22 @@ def ingest_csv(
         path = Path(path)
         if not path.exists():
             raise FileNotFoundError(f"dataset file not found: {path}")
-        text = path.read_bytes().decode("utf-8")
+        data = path.read_bytes()
     else:
-        text = path.read()
-    chunks = _read_rows(text.removeprefix("\ufeff"), path)
-    del text
+        data = path.read()
+        if isinstance(data, str):
+            data = data.encode("utf-8")
+    if not data.isascii():
+        data.decode("utf-8")  # UnicodeDecodeError for a file that is not UTF-8
+    chunks = _read_rows(data, path)
+    del data
     header = next(chunks)
     resolved = _resolve_mapping(header, mapping)
-    claimed = set(resolved.values())
+    position = {name: j for j, name in enumerate(header)}  # a repeated name reads its last column
+    column_of = {name: position[actual] for name, actual in resolved.items()}
     fields = {name: _Column(*spec) for name, spec in _FIELDS.items()}
-    covariates = {col: _covariate_column(col) for col in dict.fromkeys(header) if col not in claimed}
+    claimed = set(resolved.values())
+    covariates = {col: _covariate_column(col) for col in position if col not in claimed}
     # Non-finite covariate cells, filed once it is known which columns are kept.
     late: list[tuple[int, str, str]] = []
 
@@ -633,21 +790,22 @@ def ingest_csv(
 
     def file_failures(*names: str) -> None:
         for name in names:
-            if failures := fields[name].failures:
-                for i, raw in enumerate(cells[name], n):
-                    if raw in failures:
-                        errors.setdefault(i, failures[raw])
+            for i, message in fields[name].faults:
+                errors.setdefault(n + i, message)
 
-    # The row lists parsed here hold only strings: collector passes would find nothing.
+    # csv.reader's row lists hold only strings: collector passes would find nothing.
     collect = gc.isenabled()
     gc.disable()
     try:
-        for rows, columns in chunks:
-            by_name = dict(zip(header, columns))
-            blank = ("",) * rows
-            cells = {name: by_name[resolved[name]] if name in resolved else blank for name in CANONICAL_COLUMNS}
-            values = {name: column.add(cells[name]) for name, column in fields.items()}
-            sids = list(map(str.strip, cells["subject_id"]))
+        for rows, chunk in chunks:
+            blank = ([""], np.zeros(rows, np.intp))
+            values = {
+                name: column.add(*(chunk.cells(column_of[name]) if name in column_of else blank))
+                for name, column in fields.items()
+            }
+            sids = [""] * rows
+            if "subject_id" in column_of:
+                sids = list(map(str.strip, chunk.texts(column_of["subject_id"])))
             if "" in sids:
                 file(np.array(sids) == "", "subject_id missing")
             subject_id += sids
@@ -660,11 +818,13 @@ def ingest_csv(
             file_failures("time", "event", "replicate_index")
             for col, (decoder, non_finite) in covariates.items():
                 if not decoder.failures:  # once a cell is not a number, the column is excluded
-                    decoder.add(by_name[col])
+                    distinct, codes = chunk.cells(position[col])
+                    decoder.add(distinct, codes)
                     if non_finite:
-                        late += [(i, col, non_finite[raw]) for i, raw in enumerate(by_name[col], n) if raw in non_finite]
+                        marks = {d: non_finite[raw] for d, raw in enumerate(distinct) if raw in non_finite}
+                        late += [(n + i, col, message) for i, message in _rows_marked(codes, marks)]
             n += rows
-            del by_name, columns, cells
+            del chunk
     finally:
         if collect:
             gc.enable()
@@ -681,15 +841,14 @@ def ingest_csv(
     if errors:
         kept = sorted(set(range(n)).difference(errors))
 
-    def kept_rows(values: list | np.ndarray) -> tuple | np.ndarray:
-        if isinstance(values, np.ndarray):
-            return values[kept]
-        return tuple(values if not errors else [values[i] for i in kept])
+    def kept_rows(values: np.ndarray) -> tuple | np.ndarray:
+        values = values[kept]
+        return tuple(values.tolist()) if values.dtype == object else values
 
     table_columns = {name: kept_rows(column.joined()) for name, column in fields.items()}
     output = table_columns.pop("output")
     table = StudyTable(
-        subject_id=kept_rows(subject_id),
+        subject_id=kept_rows(np.array(subject_id, dtype=object)),
         output_kind=_OUTPUT_KIND[output],
         label=_OUTPUT_LABEL[output],
         covariates=np.array([kept_rows(covariates[name][0].joined()) for name in names], dtype=float)

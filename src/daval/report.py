@@ -298,6 +298,11 @@ def load_plan(path: str | Path) -> AnalysisPlan:
         raw = json.loads(p.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise PlanError(f"plan file not found: {p}") from None
+    except OSError as exc:
+        raise PlanError(f"cannot read plan file {p}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        byte = exc.object[exc.start]
+        raise PlanError(f"plan file {p} is not UTF-8 text: byte {exc.start} is 0x{byte:02x}") from None
     except json.JSONDecodeError as exc:
         raise PlanError(f"plan file is not valid JSON: {exc}") from None
     return plan_from_dict(raw, base_dir=p.parent)
@@ -653,23 +658,25 @@ def run_plan(plan: AnalysisPlan) -> ValidationReport:
         data_bytes = Path(plan.dataset).read_bytes()
     except FileNotFoundError:
         raise IngestError(f"dataset not found: {plan.dataset}") from None
+    except OSError as exc:
+        raise IngestError(f"cannot read dataset {plan.dataset}: {exc.strerror}") from None
     sha256 = hashlib.sha256(data_bytes).hexdigest()
-    try:
-        text = data_bytes.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise IngestError(
-            f"{plan.dataset} is not UTF-8 text: byte {exc.start} is 0x{data_bytes[exc.start]:02x}"
-        ) from None
-    del data_bytes
+    if not data_bytes.isascii():
+        try:
+            data_bytes.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise IngestError(
+                f"{plan.dataset} is not UTF-8 text: byte {exc.start} is 0x{data_bytes[exc.start]:02x}"
+            ) from None
     try:  # the column names as ingest reads them, from the header alone
-        header = next(_read_rows(text.removeprefix("\ufeff"), plan.dataset))
+        header = next(_read_rows(data_bytes, plan.dataset))
     except ValueError as exc:
         raise IngestError(str(exc)) from None
     for canonical, actual in plan.mapping.items():
         if actual not in header:
             raise PlanError(f"mapped column {actual!r} (for {canonical}) not in dataset")
-    source = SimpleNamespace(read=[text].pop)  # read() hands the text over for ingest to free
-    del text
+    source = SimpleNamespace(read=[data_bytes].pop)  # read() hands the bytes over for ingest to free
+    del data_bytes
     try:
         result = ingest_csv(source, mapping=plan.mapping or None)
     except ValueError as exc:

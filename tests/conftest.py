@@ -1,13 +1,20 @@
-"""Shared record builders and the acceptance-summary terminal hook."""
+"""Shared record builders, the hypothesis CI profile and the acceptance-summary terminal hook."""
 
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from daval.dataset import DeviceOutput, Label, Survival, ValidationRecord
+
+# HYPOTHESIS_PROFILE=ci draws the same examples on every run and keeps no
+# example database, so a CI failure reproduces from the commit alone.
+settings.register_profile("ci", derandomize=True, database=None, print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def pytest_configure(config):

@@ -636,3 +636,65 @@ def test_cli_builds_one_parser_per_process(tmp_path, capsys, monkeypatch):
             cli_main(argv)
         assert exc.value.code == 0
         assert capsys.readouterr().out == expected.format_help()
+
+
+def _fails_on_a_file(capsys, argv, path, fragment):
+    """The command exits 1 with one `error:` line naming the path, and no traceback."""
+    assert cli_main([str(a) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert str(path) in err and fragment in err
+
+
+def _unreadable(monkeypatch, target, method):
+    """Reading ``target`` through Path.<method> fails as a file without read permission does."""
+    original = getattr(type(target), method)
+
+    def read(self, *args, **kwargs):
+        if self == target:
+            raise PermissionError(13, "Permission denied", str(self))
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(type(target), method, read)
+
+
+def test_cli_plan_file_not_utf8(tmp_path, capsys):
+    plan = tmp_path / "plan.json"
+    plan.write_bytes(b'{"dataset": "caf\xe9.csv", "analyses": []}')
+    _fails_on_a_file(capsys, ["run", "--plan", plan], plan, "not UTF-8 text: byte 16 is 0xe9")
+
+
+def test_cli_plan_path_is_a_directory(tmp_path, capsys):
+    _fails_on_a_file(capsys, ["run", "--plan", tmp_path], tmp_path, "cannot read plan file")
+
+
+def test_cli_plan_file_unreadable(tmp_path, capsys, monkeypatch):
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps(plan_dict(write_binary_csv(tmp_path / "d.csv"), ["qc"])), encoding="utf-8")
+    _unreadable(monkeypatch, plan, "read_text")
+    _fails_on_a_file(capsys, ["run", "--plan", plan], plan, "Permission denied")
+
+
+def test_cli_dataset_path_is_a_directory(tmp_path, capsys):
+    _fails_on_a_file(capsys, ["accuracy", tmp_path], tmp_path, "cannot read dataset")
+
+
+def test_cli_dataset_file_unreadable(tmp_path, capsys, monkeypatch):
+    data = write_binary_csv(tmp_path / "d.csv")
+    _unreadable(monkeypatch, data, "read_bytes")
+    _fails_on_a_file(capsys, ["accuracy", data], data, "Permission denied")
+
+
+def test_cli_run_out_names_an_existing_file(tmp_path, capsys):
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps(plan_dict(write_binary_csv(tmp_path / "d.csv"), ["qc"])), encoding="utf-8")
+    out = tmp_path / "taken.txt"
+    out.write_text("keep\n", encoding="utf-8")
+    _fails_on_a_file(capsys, ["run", "--plan", plan, "--out", out], out, "not a directory")
+    assert out.read_text(encoding="utf-8") == "keep\n"
+
+
+def test_cli_simulate_out_names_a_directory(tmp_path, capsys):
+    argv = ["simulate", "--kind", "binary", "--n", "10", "--prevalence", "0.5"]
+    argv += ["--sensitivity", "0.8", "--specificity", "0.9", "--out", tmp_path]
+    _fails_on_a_file(capsys, argv, tmp_path, "Is a directory")
