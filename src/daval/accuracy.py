@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 
 import numpy as np
 from scipy.special import betainc, betaincinv, ndtri
@@ -146,13 +147,15 @@ def confusion_from_records(table: StudyTable) -> Confusion2x2:
             f"record {table.subject_id[i]!r} has {table.kind_at(i).value} output; "
             "2x2 accuracy requires binary outputs (route ungradables to qc triage)"
         )
-    called, diseased = table.label == 1, table.truth == 1
-    return Confusion2x2(
-        tp=int(np.count_nonzero(called & diseased)),
-        fp=int(np.count_nonzero(called & ~diseased)),
-        fn=int(np.count_nonzero(~called & diseased)),
-        tn=int(np.count_nonzero(~called & ~diseased)),
-    )
+    tp, fp, fn, tn = _tally(table)[:4]
+    return Confusion2x2(tp=tp, fp=fp, fn=fn, tn=tn)
+
+
+def _tally(table: StudyTable) -> list[int]:
+    """Row counts by device label x truth: [positive, negative, no label]
+    x [diseased, healthy], flattened row by row into six counts."""
+    cells = (1 - table.label.astype(np.intp)) * 2 + (1 - table.truth)
+    return np.bincount(cells, minlength=6).tolist()
 
 
 def _normal_quantile(level: float) -> float:
@@ -211,17 +214,17 @@ def accuracy_metrics(
     if conf.total == 0:
         raise ValueError("empty confusion table")
 
-    def metric(x: int, n: int) -> ProportionCI | None:
-        if n == 0:
-            return None
-        return proportion_ci(x, n, level=level, method=method)
-
     return AccuracyMetrics(
-        sensitivity=metric(conf.tp, conf.tp + conf.fn),
-        specificity=metric(conf.tn, conf.tn + conf.fp),
-        ppv=metric(conf.tp, conf.tp + conf.fp),
-        npv=metric(conf.tn, conf.tn + conf.fn),
+        sensitivity=_interval(conf.tp, conf.n_positive, level, method),
+        specificity=_interval(conf.tn, conf.n_negative, level, method),
+        ppv=_interval(conf.tp, conf.tp + conf.fp, level, method),
+        npv=_interval(conf.tn, conf.tn + conf.fn, level, method),
     )
+
+
+def _interval(x: int, n: int, level: float, method: CIMethod) -> ProportionCI | None:
+    """The interval for x/n, or None (undefined) when the denominator n is 0."""
+    return proportion_ci(x, n, level=level, method=method) if n else None
 
 
 def ratio_ci_log_method(
@@ -277,6 +280,27 @@ def posttest_risk(pretest, lr):
         return 1.0
     odds = pretest / (1 - pretest) * lr
     return odds / (1 + odds)
+
+
+def _table_row(
+    diseased: int, healthy: int, n_diseased: int, n_healthy: int, level: float, method: CIMethod
+) -> tuple[ProportionCI | None, RatioCI | None, Fraction | None, Fraction | None]:
+    """Post-test risk and likelihood ratio of one row of a diagnostic table.
+
+    The row holds ``diseased`` of the table's ``n_diseased`` diseased cases
+    and ``healthy`` of its ``n_healthy`` healthy ones. Returns the risk
+    diseased / (diseased + healthy) and the ratio P(row | diseased) /
+    P(row | healthy), each as an interval and as an exact fraction. An empty
+    row has all four None; a row without healthy cases has no exact ratio.
+    """
+    if diseased + healthy == 0:
+        return None, None, None, None
+    return (
+        proportion_ci(diseased, diseased + healthy, level=level, method=method),
+        ratio_ci_log_method(diseased, n_diseased, healthy, n_healthy, level),
+        Fraction(diseased, diseased + healthy),
+        Fraction(diseased, n_diseased) / Fraction(healthy, n_healthy) if healthy else None,
+    )
 
 
 def _sf_at_least(x: np.ndarray, n: np.ndarray, p: float) -> np.ndarray:

@@ -17,15 +17,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .accuracy import (
     CIMethod,
     Confusion2x2,
     ProportionCI,
     RatioCI,
+    _interval,
+    _table_row,
+    _tally,
     proportion_ci,
-    ratio_ci_log_method,
 )
 from .dataset import OutputKind, StudyTable, first_row
 
@@ -103,11 +103,7 @@ def triage_table(table: StudyTable) -> TriageConfusion:
         raise ValueError(
             f"record {table.subject_id[i]!r} has a score output; threshold scores before triage"
         )
-    diseased = table.truth == 1
-    (a, d), (b, e), (c, f) = (
-        (int(np.count_nonzero(row & diseased)), int(np.count_nonzero(row & ~diseased)))
-        for row in (table.label == 1, table.label == 0, table.is_kind(OutputKind.UNGRADABLE))
-    )
+    a, d, b, e, c, f = _tally(table)
     return TriageConfusion(a=a, b=b, c=c, d=d, e=e, f=f)
 
 
@@ -141,27 +137,8 @@ def row_metrics(
     rows = []
     for name in ROW_NAMES:
         diseased, healthy = tri.row(name)
-        row_total = diseased + healthy
-        risk = risk_exact = None
-        if row_total > 0:
-            risk = proportion_ci(diseased, row_total, level=level, method=method)
-            risk_exact = Fraction(diseased, row_total)
-        lr = lr_exact = None
-        if row_total > 0:
-            lr = ratio_ci_log_method(diseased, tri.n_positive, healthy, tri.n_negative, level)
-            if healthy > 0:
-                lr_exact = Fraction(diseased, tri.n_positive) / Fraction(healthy, tri.n_negative)
-        rows.append(
-            TriageRow(
-                name=name,
-                diseased=diseased,
-                healthy=healthy,
-                posttest_risk=risk,
-                likelihood_ratio=lr,
-                posttest_risk_exact=risk_exact,
-                likelihood_ratio_exact=lr_exact,
-            )
-        )
+        estimates = _table_row(diseased, healthy, tri.n_positive, tri.n_negative, level, method)
+        rows.append(TriageRow(name, diseased, healthy, *estimates))
     return tuple(rows)
 
 
@@ -231,21 +208,11 @@ def triage_report(
     rows = row_metrics(tri, level=level, method=method)
     worst = worst_case(tri, level=level, method=method)
     grad = tri.gradable_confusion()
-    grad_sens = (
-        proportion_ci(grad.tp, grad.n_positive, level=level, method=method)
-        if grad.n_positive > 0
-        else None
-    )
-    grad_spec = (
-        proportion_ci(grad.tn, grad.n_negative, level=level, method=method)
-        if grad.n_negative > 0
-        else None
-    )
     return TriageReport(
         table=tri,
         rows=rows,
         worst=worst,
         ungradable=ungradable_proportion(tri, level=level, method=method),
-        gradable_sensitivity=grad_sens,
-        gradable_specificity=grad_spec,
+        gradable_sensitivity=_interval(grad.tp, grad.n_positive, level, method),
+        gradable_specificity=_interval(grad.tn, grad.n_negative, level, method),
     )

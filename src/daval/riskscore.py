@@ -25,9 +25,9 @@ from .accuracy import (
     CIMethod,
     ProportionCI,
     RatioCI,
+    _interval,
     _normal_quantile,
-    proportion_ci,
-    ratio_ci_log_method,
+    _table_row,
 )
 
 __all__ = [
@@ -96,8 +96,9 @@ def fit_recalibration(
 
     INTERCEPT_ONLY constrains the slope to 1 and the fitted intercept is the
     calibration-in-the-large; INTERCEPT_AND_SLOPE frees both. Scores are
-    clipped to [eps, 1-eps] before the logit (clipped count reported). The
-    fit takes damped Newton steps (``_newton.newton_ascent`` states the
+    clipped to [eps, 1-eps] before the logit (clipped count reported); a
+    slope fit on scores whose clipped logits are all equal raises ValueError.
+    The fit takes damped Newton steps (``_newton.newton_ascent`` states the
     stopping and step-halving rule); a singular information matrix, or a
     coefficient escaping past SEPARATION_BOUND, raises PerfectSeparationError.
     """
@@ -118,6 +119,9 @@ def fit_recalibration(
 
     if mode is CalibrationMode.INTERCEPT_ONLY:
         design, offset, theta0 = np.ones((len(z), 1)), z, np.zeros(1)
+    elif np.all(z == z[0]):
+        # Not separation: a constant score carries no slope information.
+        raise ValueError("scores have no spread; the recalibration slope is undefined")
     else:
         design = np.column_stack([np.ones_like(z), z])
         offset, theta0 = np.zeros_like(z), np.array([0.0, 1.0])
@@ -366,12 +370,12 @@ def threshold_grid(
     n_pos = int(v.cum_pos[-1])
     n_neg = n - n_pos
     below = np.searchsorted(v.s, np.asarray(thresholds, dtype=float))  # called negative
-    out = []
-    for t, k, fn in zip(thresholds, below.tolist(), v.cum_pos[below].tolist()):
-        sens = proportion_ci(n_pos - fn, n_pos, level=level, method=method) if n_pos else None
-        spec = proportion_ci(k - fn, n_neg, level=level, method=method) if n_neg else None
-        out.append(ThresholdMetrics(threshold=float(t), sensitivity=sens, specificity=spec))
-    return out
+    return [
+        ThresholdMetrics(
+            float(t), _interval(n_pos - fn, n_pos, level, method), _interval(k - fn, n_neg, level, method)
+        )
+        for t, k, fn in zip(thresholds, below.tolist(), v.cum_pos[below].tolist())
+    ]
 
 
 DEFAULT_DCA_GRID = tuple(round(0.01 * k, 2) for k in range(1, 100))
@@ -482,28 +486,10 @@ def risk_strata_analysis(
     # Stratum i runs from the first score >= edges[i] to the first score
     # >= edges[i + 1]; the top stratum ends after the last score <= 1.
     bounds = np.append(np.searchsorted(v.s, edges[:-1]), np.searchsorted(v.s, 1.0, side="right"))
-    strata = []
-    for lo, hi, n_s, pos_s in zip(
-        edges[:-1], edges[1:], np.diff(bounds).tolist(), np.diff(v.cum_pos[bounds]).tolist()
-    ):
-        neg_s = n_s - pos_s
-        risk = risk_exact = dlr = dlr_exact = None
-        if n_s > 0:
-            risk = proportion_ci(pos_s, n_s, level=level, method=method)
-            risk_exact = Fraction(pos_s, n_s)
-            dlr = ratio_ci_log_method(pos_s, n_pos, neg_s, n_neg, level)
-            if neg_s > 0:
-                dlr_exact = Fraction(pos_s, n_pos) / Fraction(neg_s, n_neg)
-        strata.append(
-            RiskStratum(
-                lower=lo,
-                upper=hi,
-                n=n_s,
-                n_diseased=pos_s,
-                posttest_risk=risk,
-                dlr=dlr,
-                posttest_risk_exact=risk_exact,
-                dlr_exact=dlr_exact,
-            )
+    strata = tuple(
+        RiskStratum(lo, hi, n_s, pos_s, *_table_row(pos_s, n_s - pos_s, n_pos, n_neg, level, method))
+        for lo, hi, n_s, pos_s in zip(
+            edges[:-1], edges[1:], np.diff(bounds).tolist(), np.diff(v.cum_pos[bounds]).tolist()
         )
-    return RiskStrata(cutoffs=tuple(cuts), strata=tuple(strata), n_pos=n_pos, n_neg=n_neg)
+    )
+    return RiskStrata(cutoffs=tuple(cuts), strata=strata, n_pos=n_pos, n_neg=n_neg)

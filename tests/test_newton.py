@@ -144,6 +144,8 @@ def _reference_recalibration(scores, outcomes, mode, tol, max_iter, halvings):
             np.ones((len(z), 1)), y, z, np.zeros(1), tol, max_iter, halvings
         )
         return float(theta[0]), 1.0, iters, converged, ll
+    if np.all(z == z[0]):
+        raise ValueError("scores have no spread; the recalibration slope is undefined")
     theta, iters, converged, ll = _reference_logistic(
         np.column_stack([np.ones_like(z), z]), y, np.zeros_like(z), np.array([0.0, 1.0]),
         tol, max_iter, halvings,
@@ -165,7 +167,7 @@ def _outcome(fn):
     """
     try:
         return fn()
-    except (MonotoneLikelihoodError, PerfectSeparationError, RuntimeWarning) as exc:
+    except (MonotoneLikelihoodError, PerfectSeparationError, RuntimeWarning, ValueError) as exc:
         return type(exc), str(exc)
 
 
@@ -325,9 +327,10 @@ def test_singular_information_raises_through_both_callers():
             [True, False, True, True, False],
         ),
     )
+    # Equal scores leave the slope without information; that is not separation.
     _raises_exactly(
-        PerfectSeparationError,
-        "singular information matrix during recalibration fit",
+        ValueError,
+        "scores have no spread; the recalibration slope is undefined",
         lambda: fit_recalibration([0.3] * 6, [True, False, True, False, False, True], mode=SLOPE),
     )
 
