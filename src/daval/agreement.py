@@ -172,7 +172,7 @@ def precision_cells(
     conditions = zip(*columns) if columns else [()] * len(table)
     cells: dict[tuple[str, tuple], list[float]] = {}
     for subject, cond, value in zip(table.subject_id, conditions, table.score.tolist()):
-        cells.setdefault((subject, tuple(v or "?" for v in cond)), []).append(value)
+        cells.setdefault((subject, tuple("?" if v is None else v for v in cond)), []).append(value)
     return cells
 
 

@@ -957,7 +957,9 @@ def validate_records(table: StudyTable) -> IntegrityReport:
     duplicates: tuple[tuple[str, int | None], ...] = ()
     if len(set(table.subject_id)) < n:
         key_counts = Counter(zip(table.subject_id, table.replicate_index))
-        duplicates = tuple(sorted(k for k, c in key_counts.items() if c > 1))
+        # An absent replicate index sorts before every index (all are nonnegative).
+        dup_keys = (k for k, c in key_counts.items() if c > 1)
+        duplicates = tuple(sorted(dup_keys, key=lambda k: (k[0], -1 if k[1] is None else k[1])))
     n_missing_truth = int(np.count_nonzero(table.truth == -1))
     site_counts = Counter(table.site_id)
 

@@ -212,7 +212,7 @@ class Analysis:
     title: str  # the report section heading and the subcommand's help
     params: tuple[Param, ...]
     run: Callable[[StudyTable, dict, float, CIMethod], Outcome]
-    render: Callable[[dict, list[str]], None]
+    render: Callable[[dict], list[str]]  # the section's paragraphs and tables
     check: Callable[[dict], None] = lambda params: None
 
 
@@ -769,198 +769,163 @@ def _fmt(x: Any) -> str:
     return str(x)
 
 
-def _fmt_ci(ci: dict | None) -> str:
+def _fmt_ci(ci: dict | None, estimate: str = "estimate") -> str:
     if ci is None:
         return "-"
-    return f"{_fmt(ci['estimate'])} ({_fmt(ci['lower'])}, {_fmt(ci['upper'])})"
+    return f"{_fmt(ci[estimate])} ({_fmt(ci['lower'])}, {_fmt(ci['upper'])})"
 
 
-def _md_accuracy(block: dict, lines: list[str]) -> None:
+def _cell(value: Any) -> str:
+    text = str(value).replace("|", "\\|")
+    return f" {text} |" if text else " |"
+
+
+def _table(head: tuple[str, ...], rows: list[tuple]) -> str:
+    """A GFM table: the header row, its rule and one line per row of cells.
+
+    A cell is written between single spaces (an empty one as one space) and
+    a `|` inside it as `\\|`, so every line has the header's column count.
+    """
+    lines = ["|" + "".join(map(_cell, head)), "|" + "---|" * len(head)]
+    return "\n".join(lines + ["|" + "".join(map(_cell, row)) for row in rows])
+
+
+def _md_accuracy(block: dict) -> list[str]:
     c = block["counts"]
-    lines.append("| | Reference + | Reference - |")
-    lines.append("|---|---|---|")
-    lines.append(f"| Device + | {c['tp']} | {c['fp']} |")
-    lines.append(f"| Device - | {c['fn']} | {c['tn']} |")
-    lines.append("")
-    lines.append("| Metric | Estimate (CI) |")
-    lines.append("|---|---|")
-    for key in ("sensitivity", "specificity", "ppv", "npv"):
-        lines.append(f"| {key} | {_fmt_ci(block[key])} |")
-    for key in ("lr_pos", "lr_neg"):
-        lines.append(f"| {key} | {_fmt_ci(block[key])} |")
+    metrics = ("sensitivity", "specificity", "ppv", "npv", "lr_pos", "lr_neg")
+    parts = [
+        _table(("", "Reference +", "Reference -"),
+               [("Device +", c["tp"], c["fp"]), ("Device -", c["fn"], c["tn"])]),
+        _table(("Metric", "Estimate (CI)"), [(key, _fmt_ci(block[key])) for key in metrics]),
+    ]
     if "posttest" in block:
         p = block["posttest"]
-        lines.append("")
-        lines.append(
+        parts.append(
             f"Post-test risk at pre-test {_fmt(p['pretest'])}: "
             f"{_fmt(p['after_positive'])} after a positive, "
             f"{_fmt(p['after_negative'])} after a negative."
         )
     if "goal_tests" in block:
-        lines.append("")
-        lines.append("| Goal test | x/n | goal | p-value | reject |")
-        lines.append("|---|---|---|---|---|")
-        for name, gt in block["goal_tests"].items():
-            lines.append(
-                f"| {name} | {gt['x']}/{gt['n']} | {_fmt(gt['goal'])} "
-                f"| {_fmt(gt['p_value'])} | {_fmt(gt['reject'])} |"
-            )
+        parts.append(_table(
+            ("Goal test", "x/n", "goal", "p-value", "reject"),
+            [(name, f"{gt['x']}/{gt['n']}", _fmt(gt["goal"]), _fmt(gt["p_value"]), _fmt(gt["reject"]))
+             for name, gt in block["goal_tests"].items()],
+        ))
+    return parts
 
 
-def _md_qc(block: dict, lines: list[str]) -> None:
-    lines.append("| Output | Diseased | Healthy | Post-test risk (CI) | Likelihood ratio (CI) |")
-    lines.append("|---|---|---|---|---|")
-    for row in block["rows"]:
-        lines.append(
-            f"| {row['name'].capitalize()} | {row['diseased']} | {row['healthy']} "
-            f"| {_fmt_ci(row['posttest_risk'])} | {_fmt_ci(row['likelihood_ratio'])} |"
-        )
-    w = block["worst_case"]
-    lines.append("")
-    lines.append("Worst-case (ungradable counted as wrong):")
-    lines.append("")
-    lines.append("| Quantity | Estimate (CI) |")
-    lines.append("|---|---|")
-    lines.append(f"| sensitivity | {_fmt_ci(w['sensitivity'])} |")
-    lines.append(f"| specificity | {_fmt_ci(w['specificity'])} |")
-    lines.append(f"| pre-test risk | {_fmt_ci(w['pretest_risk'])} |")
-    g = block["gradable_only"]
-    lines.append(f"| gradable-only sensitivity | {_fmt_ci(g['sensitivity'])} |")
-    lines.append(f"| gradable-only specificity | {_fmt_ci(g['specificity'])} |")
-    lines.append(f"| ungradable proportion | {_fmt_ci(block['ungradable_proportion'])} |")
+def _md_qc(block: dict) -> list[str]:
+    w, g = block["worst_case"], block["gradable_only"]
+    return [
+        _table(
+            ("Output", "Diseased", "Healthy", "Post-test risk (CI)", "Likelihood ratio (CI)"),
+            [(row["name"].capitalize(), row["diseased"], row["healthy"],
+              _fmt_ci(row["posttest_risk"]), _fmt_ci(row["likelihood_ratio"])) for row in block["rows"]],
+        ),
+        "Worst-case (ungradable counted as wrong):",
+        _table(("Quantity", "Estimate (CI)"), [
+            ("sensitivity", _fmt_ci(w["sensitivity"])),
+            ("specificity", _fmt_ci(w["specificity"])),
+            ("pre-test risk", _fmt_ci(w["pretest_risk"])),
+            ("gradable-only sensitivity", _fmt_ci(g["sensitivity"])),
+            ("gradable-only specificity", _fmt_ci(g["specificity"])),
+            ("ungradable proportion", _fmt_ci(block["ungradable_proportion"])),
+        ]),
+    ]
 
 
-def _md_riskscore(block: dict, lines: list[str]) -> None:
-    cal = block["calibration"]
-    lines.append(
+def _md_riskscore(block: dict) -> list[str]:
+    cal, d = block["calibration"], block["discrimination"]
+    auc = f"AUC {_fmt(d['auc'])} (se {_fmt(d['auc_se'])})"
+    if "lower" in d:
+        auc += f", CI ({_fmt(d['lower'])}, {_fmt(d['upper'])})"
+    parts = [
         f"Calibration ({cal['mode']}): intercept {_fmt(cal['intercept'])}, "
         f"slope {_fmt(cal['slope'])}, converged {_fmt(cal['converged'])} "
-        f"in {cal['iterations']} iterations, {cal['n_clipped']} scores clipped."
-    )
-    d = block["discrimination"]
-    auc_line = f"AUC {_fmt(d['auc'])} (se {_fmt(d['auc_se'])})"
-    if "lower" in d:
-        auc_line += f", CI ({_fmt(d['lower'])}, {_fmt(d['upper'])})"
-    lines.append("")
-    lines.append(auc_line + ".")
-    lines.append("")
-    lines.append("| Threshold | Sensitivity (CI) | Specificity (CI) |")
-    lines.append("|---|---|---|")
-    for tm in block["threshold_grid"]:
-        lines.append(
-            f"| {_fmt(tm['threshold'])} | {_fmt_ci(tm['sensitivity'])} | {_fmt_ci(tm['specificity'])} |"
-        )
+        f"in {cal['iterations']} iterations, {cal['n_clipped']} scores clipped.",
+        auc + ".",
+        _table(("Threshold", "Sensitivity (CI)", "Specificity (CI)"),
+               [(_fmt(tm["threshold"]), _fmt_ci(tm["sensitivity"]), _fmt_ci(tm["specificity"]))
+                for tm in block["threshold_grid"]]),
+    ]
     if "risk_strata" in block:
-        lines.append("")
-        lines.append("| Stratum | n | Diseased | Post-test risk (CI) | DLR (CI) |")
-        lines.append("|---|---|---|---|---|")
-        for st in block["risk_strata"]:
-            closer = "]" if st["upper"] == 1 else ")"
-            lines.append(
-                f"| [{_fmt(st['lower'])}, {_fmt(st['upper'])}{closer} | {st['n']} | {st['n_diseased']} "
-                f"| {_fmt_ci(st['posttest_risk'])} | {_fmt_ci(st['dlr'])} |"
-            )
+        parts.append(_table(
+            ("Stratum", "n", "Diseased", "Post-test risk (CI)", "DLR (CI)"),
+            [(f"[{_fmt(st['lower'])}, {_fmt(st['upper'])}{']' if st['upper'] == 1 else ')'}",
+              st["n"], st["n_diseased"], _fmt_ci(st["posttest_risk"]), _fmt_ci(st["dlr"]))
+             for st in block["risk_strata"]],
+        ))
     if "prevalence_scaling" in block:
         ps = block["prevalence_scaling"]
         after = ps["calibration_after_scaling"]
-        lines.append("")
-        lines.append(
+        parts.append(
             f"Prevalence scaling {_fmt(ps['train_prev'])} -> {_fmt(ps['target_prev'])}: "
             f"recalibration after scaling gives intercept {_fmt(after['intercept'])}, "
             f"slope {_fmt(after['slope'])}; AUC unchanged at {_fmt(ps['auc_after_scaling'])}."
         )
+    return parts
 
 
-def _md_agreement(block: dict, lines: list[str]) -> None:
-    ba = block["bland_altman"]
-    lines.append(
+def _md_agreement(block: dict) -> list[str]:
+    ba, dm = block["bland_altman"], block["deming"]
+    note = " (defaulted)" if dm["lambda_defaulted"] else ""
+    return [
         f"Bland-Altman ({block['x_col']} vs {block['y_col']}, n={ba['n']}): "
         f"mean difference {_fmt(ba['mean_difference'])}, sd {_fmt(ba['sd_difference'])}, "
         f"limits of agreement ({_fmt(ba['loa_lower'])}, {_fmt(ba['loa_upper'])}) "
-        f"with CI halfwidth {_fmt(ba['loa_ci_halfwidth'])}."
-    )
-    dm = block["deming"]
-    note = " (defaulted)" if dm["lambda_defaulted"] else ""
-    lines.append("")
-    lines.append(
+        f"with CI halfwidth {_fmt(ba['loa_ci_halfwidth'])}.",
         f"Deming fit: slope {_fmt(dm['slope'])}, intercept {_fmt(dm['intercept'])}, "
-        f"lambda {_fmt(dm['lambda'])}{note}."
-    )
+        f"lambda {_fmt(dm['lambda'])}{note}.",
+    ]
 
 
-def _md_precision(block: dict, lines: list[str]) -> None:
-    lines.append("| Component | SD | %CV |")
-    lines.append("|---|---|---|")
-    lines.append(
-        f"| repeatability | {_fmt(block['repeatability_sd'])} | {_fmt(block['cv_repeatability'])} |"
-    )
-    lines.append(
-        f"| between-condition | {_fmt(block['between_condition_sd'])} | - |"
-    )
-    lines.append(
-        f"| reproducibility | {_fmt(block['reproducibility_sd'])} | {_fmt(block['cv_reproducibility'])} |"
-    )
-    lines.append("")
-    lines.append(
+def _md_precision(block: dict) -> list[str]:
+    clipped = " Negative component clipped to zero." if block["negative_component_clipped"] else ""
+    return [
+        _table(("Component", "SD", "%CV"), [
+            ("repeatability", _fmt(block["repeatability_sd"]), _fmt(block["cv_repeatability"])),
+            ("between-condition", _fmt(block["between_condition_sd"]), "-"),
+            ("reproducibility", _fmt(block["reproducibility_sd"]), _fmt(block["cv_reproducibility"])),
+        ]),
         f"Grand mean {_fmt(block['grand_mean'])}, {block['n_subjects']} subjects, "
-        f"conditions {', '.join(block['condition_fields'])}."
-        + (" Negative component clipped to zero." if block["negative_component_clipped"] else "")
-    )
+        f"conditions {', '.join(block['condition_fields'])}.{clipped}",
+    ]
 
 
-def _md_survival(block: dict, lines: list[str]) -> None:
-    lines.append(
+def _md_survival(block: dict) -> list[str]:
+    parts = [
         f"{block['n']} subjects, {block['n_events']} events, "
         f"max follow-up {_fmt(block['max_followup'])}."
-    )
+    ]
     if "risk_at_horizon" in block:
         r = block["risk_at_horizon"]
         extra = " (extrapolated)" if r["extrapolated"] else ""
-        lines.append("")
-        lines.append(
-            f"Risk at t={_fmt(r['time'])}: {_fmt(r['risk'])} "
-            f"({_fmt(r['lower'])}, {_fmt(r['upper'])}){extra}."
-        )
+        parts.append(f"Risk at t={_fmt(r['time'])}: {_fmt_ci(r, 'risk')}{extra}.")
     if "groups" in block:
-        lines.append("")
-        lines.append(f"Groups by {block['groups_by']}:")
-        lines.append("")
-        lines.append("| Group | n | Events | Risk at horizon (CI) |")
-        lines.append("|---|---|---|---|")
-        for name, g in block["groups"].items():
-            risk = "-"
-            if "risk_at_horizon" in g:
-                gr = g["risk_at_horizon"]
-                risk = f"{_fmt(gr['risk'])} ({_fmt(gr['lower'])}, {_fmt(gr['upper'])})"
-            lines.append(f"| {name} | {g['n']} | {g['n_events']} | {risk} |")
+        parts.append(f"Groups by {block['groups_by']}:")
+        parts.append(_table(
+            ("Group", "n", "Events", "Risk at horizon (CI)"),
+            [(name, g["n"], g["n_events"], _fmt_ci(g.get("risk_at_horizon"), "risk"))
+             for name, g in block["groups"].items()],
+        ))
         if "logrank" in block:
             lr = block["logrank"]
-            lines.append("")
-            lines.append(
-                f"Log-rank: statistic {_fmt(lr['statistic'])}, df {lr['df']}, "
-                f"p {_fmt(lr['p_value'])}."
+            parts.append(
+                f"Log-rank: statistic {_fmt(lr['statistic'])}, df {lr['df']}, p {_fmt(lr['p_value'])}."
             )
     if "cox" in block:
         cox = block["cox"]
-        lines.append("")
-        lines.append("| Model | Coefficients | log-PL |")
-        lines.append("|---|---|---|")
-        for model in ("baseline", "full"):
-            if model not in cox:
-                continue
-            coefs = ", ".join(
-                f"{k}={_fmt(v)}" for k, v in cox[model]["coefficients"].items()
-            ) or "(none)"
-            lines.append(
-                f"| {model} | {coefs} | {_fmt(cox[model]['log_partial_likelihood'])} |"
-            )
+        parts.append(_table(("Model", "Coefficients", "log-PL"), [
+            (model, ", ".join(f"{k}={_fmt(v)}" for k, v in cox[model]["coefficients"].items()) or "(none)",
+             _fmt(cox[model]["log_partial_likelihood"]))
+            for model in ("baseline", "full") if model in cox
+        ]))
         if "lrt" in cox:
             lrt = cox["lrt"]
-            lines.append("")
-            lines.append(
-                f"Added-value LRT: statistic {_fmt(lrt['statistic'])}, "
-                f"df {lrt['df']}, p {_fmt(lrt['p_value'])}."
+            parts.append(
+                f"Added-value LRT: statistic {_fmt(lrt['statistic'])}, df {lrt['df']}, p {_fmt(lrt['p_value'])}."
             )
+    return parts
 
 
 def _check_riskscore(params: dict) -> None:
@@ -1041,35 +1006,26 @@ ANALYSES: dict[str, Analysis] = {
 
 
 def render_markdown(report: ValidationReport) -> str:
-    lines = [
+    """report.md: the title, the front matter, the warnings, then each
+    analysis's heading and parts, every part separated from the next by one
+    blank line."""
+    fp = report.dataset_fingerprint
+    parts = [
         "# Validation report",
-        "",
-        f"- tool version: {report.tool_version}",
-        f"- plan hash: `{report.plan_hash}`",
-        f"- dataset: {report.dataset_fingerprint['rows']} rows, "
-        f"sha256 `{report.dataset_fingerprint['sha256']}`",
-        f"- confidence level: {_fmt(report.level)} ({report.ci_method})",
-        f"- seed: {report.seed if report.seed is not None else '-'}",
+        f"- tool version: {report.tool_version}\n"
+        f"- plan hash: `{report.plan_hash}`\n"
+        f"- dataset: {fp['rows']} rows, sha256 `{fp['sha256']}`\n"
+        f"- confidence level: {_fmt(report.level)} ({report.ci_method})\n"
+        f"- seed: {_fmt(report.seed)}",
     ]
     if report.warnings:
-        lines.append("")
-        lines.append("## Warnings")
-        lines.append("")
-        for w in report.warnings:
-            lines.append(f"- {w}")
+        parts += ["## Warnings", "\n".join(f"- {w}" for w in report.warnings)]
     for name, analysis in ANALYSES.items():
-        if name not in report.results:
-            continue
-        lines.append("")
-        lines.append(f"## {analysis.title}")
-        lines.append("")
-        block = report.results[name]
-        if "error" in block:
-            lines.append(f"Analysis failed: {block['error']}")
-        else:
-            analysis.render(_sanitize(block), lines)
-    lines.append("")
-    return "\n".join(lines)
+        if name in report.results:
+            block = report.results[name]
+            parts.append(f"## {analysis.title}")
+            parts += [f"Analysis failed: {block['error']}"] if "error" in block else analysis.render(block)
+    return "\n\n".join(parts) + "\n"
 
 
 def emit_report(

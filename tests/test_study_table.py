@@ -37,7 +37,8 @@ PROPERTY = settings(max_examples=120, deadline=None)
 def loop_validate_records(records: Sequence[ValidationRecord]) -> IntegrityReport:
     """Report-only integrity check: duplicates, truth missingness, site balance."""
     key_counts = Counter((r.subject_id, r.replicate_index) for r in records)
-    duplicates = tuple(sorted(k for k, c in key_counts.items() if c > 1))
+    dup_keys = (k for k, c in key_counts.items() if c > 1)
+    duplicates = tuple(sorted(dup_keys, key=lambda k: (k[0], -1 if k[1] is None else k[1])))
     n_missing_truth = sum(1 for r in records if r.truth is None)
     site_counts = Counter(r.site_id for r in records)
 
@@ -134,7 +135,7 @@ def loop_precision_cells(
         for f in condition_fields:
             if not hasattr(rec, f):
                 raise ValueError(f"unknown condition field {f!r}")
-        cond = tuple(getattr(rec, f) or "?" for f in condition_fields)
+        cond = tuple("?" if getattr(rec, f) is None else getattr(rec, f) for f in condition_fields)
         cells.setdefault((rec.subject_id, cond), []).append(float(rec.output.value))
     return cells
 
@@ -210,7 +211,7 @@ def _records(kinds=_output, truth=st.none() | st.sampled_from(list(Label)), surv
 def _outcome(fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         return f"{type(exc).__name__}: {exc}"
 
 
