@@ -11,7 +11,9 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import reduce
 from itertools import chain
+from operator import add
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -227,9 +229,7 @@ def variance_components_from_cells(
         m = len(conditions)
         counts, means = sizes[first : first + m], cell_means[first : first + m]
         # A one-value cell's sum of squares is +0.0, so adding it changes nothing.
-        ss_within = 0.0
-        for ss in cell_ss[first : first + m]:
-            ss_within += ss
+        ss_within = reduce(add, cell_ss[first : first + m], 0.0)
         df_within = sum(counts) - m
         first += m
         ss_within_total += ss_within
@@ -237,8 +237,9 @@ def variance_components_from_cells(
 
         if m >= 2:
             n_total = sum(counts)
-            subject_mean = sum(c * mu for c, mu in zip(counts, means)) / n_total
-            ss_between = sum(c * (mu - subject_mean) ** 2 for c, mu in zip(counts, means))
+            # Left folds: since Python 3.12 the builtin sum compensates float sums.
+            subject_mean = reduce(add, (c * mu for c, mu in zip(counts, means)), 0.0) / n_total
+            ss_between = reduce(add, (c * (mu - subject_mean) ** 2 for c, mu in zip(counts, means)), 0.0)
             df_between = m - 1
             ms_between = ss_between / df_between
             n0 = (n_total - sum(c * c for c in counts) / n_total) / df_between

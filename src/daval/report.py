@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -556,7 +557,7 @@ def _run_precision(table: StudyTable, params: dict, level: float, method: CIMeth
 def _groups(table: StudyTable, groups_by: str) -> dict[str, np.ndarray]:
     """Row indices of each group, keyed by the group's name."""
     if groups_by in _RECORD_GROUP_FIELDS:
-        names = [str(v) for v in getattr(table, groups_by)]
+        names = ["?" if v is None else str(v) for v in getattr(table, groups_by)]
     else:
         values = table.covariate(groups_by)
         i = first_row(np.isnan(values))
@@ -776,15 +777,15 @@ def _fmt_ci(ci: dict | None, estimate: str = "estimate") -> str:
 
 
 def _cell(value: Any) -> str:
-    text = str(value).replace("|", "\\|")
+    text = re.sub(r"\r\n|\r|\n", "<br>", str(value).replace("|", "\\|"))
     return f" {text} |" if text else " |"
 
 
 def _table(head: tuple[str, ...], rows: list[tuple]) -> str:
     """A GFM table: the header row, its rule and one line per row of cells.
 
-    A cell is written between single spaces (an empty one as one space) and
-    a `|` inside it as `\\|`, so every line has the header's column count.
+    A cell sits between single spaces (an empty one is one space); a `|` in it
+    is `\\|` and a line break `<br>`, so lines keep the header's column count.
     """
     lines = ["|" + "".join(map(_cell, head)), "|" + "---|" * len(head)]
     return "\n".join(lines + ["|" + "".join(map(_cell, row)) for row in rows])

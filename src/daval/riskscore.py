@@ -177,9 +177,9 @@ def fit_recalibration(
 
 @dataclass(frozen=True)
 class SortedScores:
-    """One stable ascending sort of a score vector, as the kernels read it.
-    Tied scores keep their input order: a tie block's last position holds
-    the tied subject with the highest input index."""
+    """One stable ascending sort of a score (or survival time) vector, as the
+    kernels read it. Tied scores keep their input order: a tie block's last
+    position holds the tied subject with the highest input index."""
 
     order: np.ndarray  # stable ascending argsort of the scores
     s: np.ndarray  # scores in that order
@@ -190,7 +190,7 @@ class SortedScores:
 
 
 def sort_scores(scores: Sequence[float], outcomes: Sequence[bool]) -> SortedScores:
-    """Sort scores once for the kernels; NaN scores are refused."""
+    """Sort scores (or survival times) once for the kernels; NaN is refused."""
     s = np.asarray(scores, dtype=float)
     y = np.asarray(outcomes, dtype=bool)
     if s.shape != y.shape or s.ndim != 1:

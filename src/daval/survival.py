@@ -10,7 +10,8 @@ P(X >= x) = Q(df / 2, x / 2); a NaN statistic gets a NaN p-value.
 
 Censoring convention: event=False means right-censored at `time`; a censoring
 tied with an event at the same instant is treated as happening after it, so
-the censored subject still counts as at risk for that event.
+the censored subject still counts as at risk for that event. Risk sets come
+from the tie blocks of one stable sort of the times (`riskscore.sort_scores`).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from scipy.special import gammaincc
 from ._newton import newton_ascent
 from .accuracy import _normal_quantile
 from .dataset import StudyTable, first_row
+from .riskscore import SortedScores, sort_scores
 
 __all__ = [
     "MonotoneLikelihoodError",
@@ -53,7 +55,7 @@ class MonotoneLikelihoodError(RuntimeError):
 
 @dataclass(frozen=True)
 class KMCurve:
-    times: np.ndarray  # distinct event times, ascending
+    times: np.ndarray  # event times, ascending; each its tie block's last value in input order
     survival: np.ndarray
     greenwood_se: np.ndarray
     at_risk: np.ndarray
@@ -92,12 +94,11 @@ def km_estimate(
     if not 0.0 < level < 1.0:
         raise ValueError("level must be in (0, 1)")
 
-    n = len(t)
-    order = np.argsort(t, kind="stable")
-    t_sorted, e_sorted = t[order], e[order]
-    # Risk sets from the one sort: n_at_risk(et) = #{t >= et}, d(et) = events at et.
-    event_times, event_counts = np.unique(t_sorted[e_sorted], return_counts=True)
-    at_risk = n - np.searchsorted(t_sorted, event_times, side="left")
+    v = sort_scores(t, e)
+    # Each tie block with events: n_at_risk = #{t >= its time}, d = its events.
+    d = v.cum_pos[v.last + 1] - v.cum_pos[v.first]
+    hit = d > 0
+    event_counts, at_risk = d[hit], len(t) - v.first[hit]
     z = _normal_quantile(level)
 
     out_surv, out_se, out_lo, out_hi, out_sums = [], [], [], [], []
@@ -121,7 +122,7 @@ def km_estimate(
         out_sums.append(gw_sum)
 
     return KMCurve(
-        times=event_times,
+        times=v.s[v.last[hit]],
         survival=np.asarray(out_surv),
         greenwood_se=np.asarray(out_se),
         at_risk=at_risk,
@@ -129,9 +130,9 @@ def km_estimate(
         lower=np.asarray(out_lo),
         upper=np.asarray(out_hi),
         level=level,
-        max_followup=float(t_sorted[-1]),
+        max_followup=float(v.s[-1]),
         greenwood_sums=np.asarray(out_sums),
-        n=n,
+        n=len(t),
     )
 
 
@@ -217,25 +218,20 @@ def logrank(groups: Sequence[tuple[Sequence[float], Sequence[bool]]]) -> Logrank
         times_list.append(t)
         events_list.append(e)
 
-    all_event_times = np.unique(
-        np.concatenate([t[e] for t, e in zip(times_list, events_list)])
-    )
-    if len(all_event_times) == 0:
+    view = sort_scores(np.concatenate(times_list), np.concatenate(events_list))
+    if not view.cum_pos[-1]:
         return LogrankResult(statistic=0.0, df=k - 1, p_value=1.0, degenerate=True)
 
-    # Event-time x group tables of at-risk counts #{t >= et} and event counts,
-    # read off each group's sorted times.
-    n_table = np.empty((len(all_event_times), k))
-    d_table = np.empty((len(all_event_times), k))
-    for j, (t, e) in enumerate(zip(times_list, events_list)):
-        t_sorted = np.sort(t)
-        ev_sorted = np.sort(t[e])
-        n_table[:, j] = len(t) - np.searchsorted(t_sorted, all_event_times, side="left")
-        d_table[:, j] = np.searchsorted(
-            ev_sorted, all_event_times, side="right"
-        ) - np.searchsorted(ev_sorted, all_event_times, side="left")
-
-    u, v = _logrank_score(n_table, d_table)
+    # Event time x group counts: a subject counts in the row of the last event
+    # time at or before its own, so #{t >= et} sums a row and every later row.
+    hit = view.cum_pos[view.last + 1] > view.cum_pos[view.first]
+    row = np.repeat(np.cumsum(hit) - 1, view.last - view.first + 1)
+    group = np.repeat(np.arange(k), [len(t) for t in times_list])[view.order]
+    cell, size = row * k + group, int(hit.sum()) * k
+    counts = np.bincount(cell[row >= 0], minlength=size).reshape(-1, k)
+    d_table = np.bincount(cell[view.y], minlength=size).reshape(-1, k)
+    n_table = np.cumsum(counts[::-1], axis=0)[::-1]
+    u, v = _logrank_score(n_table.astype(float), d_table.astype(float))
     try:
         stat = float(u @ np.linalg.solve(v, u))
     except np.linalg.LinAlgError:
@@ -304,15 +300,20 @@ class _RiskSweep:
 
 
 def _risk_sweep(times: np.ndarray, events: np.ndarray) -> _RiskSweep:
-    order = np.argsort(-times, kind="stable")
-    t = times[order]
-    ends = np.flatnonzero(np.append(t[1:] != t[:-1], True))
-    event_pos = np.flatnonzero(events[order])
-    return _RiskSweep(
-        order=order,
-        event_pos=event_pos,
-        block_end=ends[np.searchsorted(ends, event_pos)],
-    )
+    return _view_sweep(v := sort_scores(times, events), v.order)
+
+
+def _view_sweep(v: SortedScores, index: np.ndarray) -> _RiskSweep:
+    """The sweep over a view's tie blocks; ``index`` names each sorted position."""
+    n = len(v.s)
+    # Reversing the tie blocks moves block b from sorted positions
+    # first[b]..last[b] to sweep positions n-1-last[b]..n-1-first[b];
+    # at[p] is the sorted position at sweep position p.
+    size = (v.last - v.first + 1)[::-1]
+    at = np.arange(n) + np.repeat((v.first + v.last - (n - 1))[::-1], size)
+    event_pos = np.flatnonzero(v.y[at])
+    end = np.repeat((n - 1 - v.first)[::-1], size)[event_pos]
+    return _RiskSweep(order=index[at], event_pos=event_pos, block_end=end)
 
 
 def _cox_ll_grad_hess(
@@ -384,13 +385,10 @@ def cox_fit(
     if len(names) != p:
         raise ValueError("names must match the covariate count")
 
-    order = np.argsort(t, kind="stable")
-    x, t, e = x[order], t[order], e[order]
-    sweep = _risk_sweep(t, e)
-
-    event_times, counts = np.unique(t[e], return_counts=True)
-    tied = int(counts[counts >= 2].sum())
-    tie_fraction = tied / n_events
+    v = sort_scores(t, e)
+    x = x[v.order]
+    sweep = _view_sweep(v, np.arange(n))
+    d = v.cum_pos[v.last + 1] - v.cum_pos[v.first]
 
     beta0 = np.zeros(p)
     start = _cox_ll_grad_hess(beta0, x, sweep)
@@ -411,7 +409,7 @@ def cox_fit(
         ties_method="breslow",
         n=n,
         n_events=n_events,
-        tie_fraction=tie_fraction,
+        tie_fraction=int(d[d >= 2].sum()) / n_events,
     )
 
 

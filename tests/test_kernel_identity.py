@@ -38,12 +38,17 @@ def _reference_loglog(s, gw_sum, level):
 
 
 def _reference_km(times, events, level):
-    """Product-limit loop: two O(n) passes at every event time."""
+    """Product-limit loop: two O(n) passes at every event time.
+
+    Each event time is the value of the last subject of its tie block in a
+    stable sort, so a block mixing -0.0 and 0.0 shows its last one's sign.
+    """
     t = np.asarray(times, dtype=float)
     e = np.asarray(events, dtype=bool)
     order = np.argsort(t, kind="stable")
     t_sorted, e_sorted = t[order], e[order]
-    event_times = np.unique(t_sorted[e_sorted])
+    event_times = [t_sorted[np.flatnonzero(t_sorted == et)[-1]] for et in set(t[e].tolist())]
+    event_times = np.array(sorted(event_times), dtype=float)
     surv, se_, risk, dd, lo_, hi_, sums = [], [], [], [], [], [], []
     s, gw_sum = 1.0, 0.0
     for et in event_times:

@@ -7,10 +7,12 @@ renderer saw them. The parts-based renderer must return the same text for
 every drawn report: each analysis present, absent or failed, every optional
 key present and absent, None intervals, NaN and +-inf. Drawn names hold no
 `|` (tests/test_report_tables.py covers its escape) and are never empty, as
-ingest never yields an empty group name.
+ingest never yields an empty group name; a line break in a table cell is
+written `<br>` in both, the one rule added since the oracle was copied.
 """
 
 import math
+import re
 from typing import Any
 
 from hypothesis import given, settings
@@ -48,6 +50,10 @@ def _fmt(x: Any) -> str:
     if isinstance(x, float):
         return f"{x:.4g}"
     return str(x)
+
+
+def _br(cell):
+    return re.sub(r"\r\n|\r|\n", "<br>", cell)
 
 
 def _fmt_ci(ci):
@@ -211,7 +217,7 @@ def _md_survival(block, lines):
             if "risk_at_horizon" in g:
                 gr = g["risk_at_horizon"]
                 risk = f"{_fmt(gr['risk'])} ({_fmt(gr['lower'])}, {_fmt(gr['upper'])})"
-            lines.append(f"| {name} | {g['n']} | {g['n_events']} | {risk} |")
+            lines.append(f"| {_br(name)} | {g['n']} | {g['n_events']} | {risk} |")
         if "logrank" in block:
             lr = block["logrank"]
             lines.append("")
@@ -228,7 +234,7 @@ def _md_survival(block, lines):
             if model not in cox:
                 continue
             coefs = ", ".join(f"{k}={_fmt(v)}" for k, v in cox[model]["coefficients"].items()) or "(none)"
-            lines.append(f"| {model} | {coefs} | {_fmt(cox[model]['log_partial_likelihood'])} |")
+            lines.append(f"| {model} | {_br(coefs)} | {_fmt(cox[model]['log_partial_likelihood'])} |")
         if "lrt" in cox:
             lrt = cox["lrt"]
             lines.append("")

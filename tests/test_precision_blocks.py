@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import io
+import json
 import math
 import re
 
@@ -19,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from daval.agreement import PrecisionComponents, variance_components, variance_components_from_cells
+from daval.cli import main as cli_main
 from daval.dataset import ingest_csv
 
 
@@ -58,8 +60,13 @@ def _per_cell_reference(cells):
         m = len(conditions)
         if m >= 2:
             n_total = sum(counts)
-            subject_mean = sum(c * mu for c, mu in zip(counts, means)) / n_total
-            ss_between = sum(c * (mu - subject_mean) ** 2 for c, mu in zip(counts, means))
+            subject_mean = 0.0  # left folds: the builtin sum compensates since Python 3.12
+            for c, mu in zip(counts, means):
+                subject_mean += c * mu
+            subject_mean /= n_total
+            ss_between = 0.0
+            for c, mu in zip(counts, means):
+                ss_between += c * (mu - subject_mean) ** 2
             df_between = m - 1
             ms_between = ss_between / df_between
             n0 = (n_total - sum(c * c for c in counts) / n_total) / df_between
@@ -229,3 +236,17 @@ def test_reductions_grow_with_distinct_cell_sizes_not_cells(reduction_count):
     # A second replicate count adds one block.
     mixed = _reductions(reduction_count, _precision_table(ids, lambda s: 2 + int(s[1:]) % 2))
     assert mixed == 5
+
+
+def test_between_condition_sd_is_a_left_fold(tmp_path, capsys):
+    # One subject, two replicates at each of three operators. Since Python
+    # 3.12 the builtin sum compensates, and gave 0.32145502536643183 here.
+    data = tmp_path / "p.csv"
+    data.write_text(
+        "subject_id,score,operator_id,replicate_index\n"
+        + "".join(f"s1,{v},op{v},{r}\n" for v in ("0.1", "0.2", "0.7") for r in (0, 1)),
+        encoding="utf-8",
+    )
+    assert cli_main(["precision", str(data), "--condition-fields", "operator_id"]) == 0
+    block = json.loads(capsys.readouterr().out)["results"]["precision"]
+    assert block["between_condition_sd"] == 0.3214550253664318
