@@ -874,13 +874,26 @@ def _csv_row(fields: Iterable[str], end: str) -> str:
     return buf.getvalue()[:-2] + end
 
 
+# A float64 column of at least this many values formats each distinct value
+# once (see _csv_column). The shorter plot columns are mostly distinct, and
+# there repr of every value is the faster way.
+_FACTOR_MIN_ROWS = 1024
+
+
 def _csv_column(column: np.ndarray | Sequence[str]) -> list[str]:
     """One column as CSV fields.
 
     An array's values are written as their Python `repr`: the shortest text
-    that reads back to the same float, and an integer's digits.
+    that reads back to the same float, and an integer's digits. A large
+    float64 column formats each distinct bit pattern once, so -0.0 stays
+    apart from 0.0 and every NaN still reads ``nan``. Integer columns keep
+    the plain map: an int's repr costs less than finding its repeats.
     """
     if isinstance(column, np.ndarray):
+        if len(column) >= _FACTOR_MIN_ROWS and column.dtype == np.float64:
+            bits, codes = np.unique(column.view(np.int64), return_inverse=True)
+            texts = list(map(repr, bits.view(np.float64).tolist()))
+            return list(map(texts.__getitem__, codes.tolist()))
         return list(map(repr, column.tolist()))
     distinct = list(set(column))
     if _csv_row(distinct, "") == ",".join(distinct):  # no text is quoted

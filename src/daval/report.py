@@ -585,7 +585,9 @@ _COX_FIELDS = ("coefficients", "log_partial_likelihood", "converged", "iteration
 
 def _run_survival(table: StudyTable, params: dict, level: float, method: CIMethod) -> Outcome:
     times, events = survival_arrays(table)
-    curve = km_estimate(times, events, level=level)
+    # One sort of the times for every curve, the log-rank test and both fits.
+    view = sort_scores(times, events)
+    curve = km_estimate(times, events, level=level, view=view)
     block: dict[str, Any] = {
         "n": int(curve.n),
         "n_events": int(curve.events.sum()),
@@ -602,12 +604,12 @@ def _run_survival(table: StudyTable, params: dict, level: float, method: CIMetho
     if groups_by is not None:
         groups = _groups(table, groups_by)
         group_blocks = {}
-        group_arrays = []
-        for name in sorted(groups):
-            g_times, g_events = times[groups[name]], events[groups[name]]
-            g_curve = km_estimate(g_times, g_events, level=level)
+        label = np.empty(len(times), dtype=np.intp)
+        for i, name in enumerate(sorted(groups)):
+            rows = groups[name]
+            label[rows] = i
+            g_curve = km_estimate(times[rows], events[rows], level=level, view=view.subset(rows))
             curves.append((name, g_curve))
-            group_arrays.append((g_times, g_events))
             entry: dict[str, Any] = {
                 "n": int(g_curve.n),
                 "n_events": int(g_curve.events.sum()),
@@ -618,14 +620,14 @@ def _run_survival(table: StudyTable, params: dict, level: float, method: CIMetho
             group_blocks[name] = entry
         block["groups_by"] = groups_by
         block["groups"] = group_blocks
-        if len(group_arrays) >= 2:
-            block["logrank"] = _block(logrank(group_arrays))
+        if len(groups) >= 2:
+            block["logrank"] = _block(logrank(label, view=view))
 
     baseline_names = params.get("baseline_covariates", [])
     added_names = params.get("added_covariates", [])
     if baseline_names or added_names:
         base_x = covariate_matrix(table, baseline_names)
-        base_fit = cox_fit(base_x, times, events, names=baseline_names)
+        base_fit = cox_fit(base_x, times, events, names=baseline_names, view=view)
         cox_block: dict[str, Any] = {"baseline": _block(base_fit, *_COX_FIELDS)}
         if base_fit.tie_fraction > 0.10:
             warnings.append(
@@ -635,7 +637,7 @@ def _run_survival(table: StudyTable, params: dict, level: float, method: CIMetho
         if added_names:
             full_names = list(baseline_names) + list(added_names)
             full_x = covariate_matrix(table, full_names)
-            full_fit = cox_fit(full_x, times, events, names=full_names)
+            full_fit = cox_fit(full_x, times, events, names=full_names, view=view)
             cox_block["full"] = _block(full_fit, *_COX_FIELDS)
             cox_block["lrt"] = _block(added_value_lrt(base_fit, full_fit, added_df=len(added_names)))
         block["cox"] = cox_block
@@ -937,6 +939,17 @@ def _check_riskscore(params: dict) -> None:
         raise PlanError("riskscore.cutoffs must be ascending")
 
 
+def _check_survival(params: dict) -> None:
+    names = params.get("baseline_covariates", []) + params.get("added_covariates", [])
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            # A repeated column makes the Cox information matrix singular.
+            raise PlanError(
+                f"survival covariate {name!r} is named more than once across baseline_covariates "
+                "and added_covariates (--baseline-covariates, --added-covariates)"
+            )
+
+
 # Every analysis in report order. Each is described here once: the plan
 # validator, the column checks, the CLI subcommands, `run_plan` and
 # `render_markdown` all read this registry.
@@ -1002,6 +1015,7 @@ ANALYSES: dict[str, Analysis] = {
         ),
         _run_survival,
         _md_survival,
+        _check_survival,
     ),
 }
 

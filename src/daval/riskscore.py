@@ -188,26 +188,55 @@ class SortedScores:
     last: np.ndarray  # last sorted position of each tie block
     cum_pos: np.ndarray  # cum_pos[i]: positives among the first i sorted subjects
 
+    def subset(self, rows: np.ndarray) -> SortedScores:
+        """The view of the subjects ``rows`` (ascending input indices),
+        numbered by their place in ``rows``. It needs no sort: a stable sort
+        restricted to a subset is that subset's stable sort."""
+        place = np.full(len(self.order), -1)
+        place[rows] = np.arange(len(rows))
+        order = place[self.order]
+        keep = order >= 0
+        return _blocks(order[keep], self.s[keep], self.y[keep])
+
+
+def _blocks(order: np.ndarray, s_sorted: np.ndarray, y_sorted: np.ndarray) -> SortedScores:
+    """The view of a sort: its tie blocks and positive counts."""
+    steps = s_sorted[1:] != s_sorted[:-1]
+    return SortedScores(
+        order=order,
+        s=s_sorted,
+        y=y_sorted,
+        first=np.flatnonzero(np.r_[len(order) > 0, steps]),
+        last=np.flatnonzero(np.r_[steps, len(order) > 0]),
+        cum_pos=np.concatenate(([0], np.cumsum(y_sorted))),
+    )
+
 
 def sort_scores(scores: Sequence[float], outcomes: Sequence[bool]) -> SortedScores:
-    """Sort scores (or survival times) once for the kernels; NaN is refused."""
+    """Sort scores (or survival times) once for the kernels; NaN is refused.
+
+    The order is exactly ``np.argsort(scores, kind="stable")``. An unstable
+    argsort (numpy's fastest) finds the tie blocks; one sort of the distinct
+    int64 keys ``block * n + index`` then orders each block by input index.
+    """
     s = np.asarray(scores, dtype=float)
     y = np.asarray(outcomes, dtype=bool)
     if s.shape != y.shape or s.ndim != 1:
         raise ValueError("scores and outcomes must be equal-length 1-d sequences")
     if np.isnan(s).any():
         raise ValueError("scores must not be NaN")
-    order = np.argsort(s, kind="stable")
-    s_sorted, y_sorted = s[order], y[order]
+    order = np.argsort(s)
+    s_sorted = s[order]
     steps = s_sorted[1:] != s_sorted[:-1]
-    return SortedScores(
-        order=order,
-        s=s_sorted,
-        y=y_sorted,
-        first=np.flatnonzero(np.r_[len(s) > 0, steps]),
-        last=np.flatnonzero(np.r_[steps, len(s) > 0]),
-        cum_pos=np.concatenate(([0], np.cumsum(y_sorted))),
-    )
+    if not steps.all():
+        # Blocks keep their sorted positions, so a key less its block's
+        # offset is the index at that position.
+        offset = np.concatenate(([0], np.cumsum(steps, dtype=np.int64))) * len(s)
+        keys = offset + order
+        keys.sort()
+        order = keys - offset
+        s_sorted = s[order]  # a block mixing -0.0 and 0.0 now shows them in input order
+    return _blocks(order, s_sorted, y[order])
 
 
 def calibration_plot(

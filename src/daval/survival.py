@@ -11,7 +11,13 @@ P(X >= x) = Q(df / 2, x / 2); a NaN statistic gets a NaN p-value.
 Censoring convention: event=False means right-censored at `time`; a censoring
 tied with an event at the same instant is treated as happening after it, so
 the censored subject still counts as at risk for that event. Risk sets come
-from the tie blocks of one stable sort of the times (`riskscore.sort_scores`).
+from the tie blocks of one stable sort of the times (`riskscore.sort_scores`),
+which a caller may share as ``view``: a report sorts its times once for every
+curve, the log-rank test and both Cox fits. KM and Cox terms are computed once
+per tie block. KM's log-log bounds and Cox's log S0 call libm's `log`, `exp`
+and `pow`, as the step-by-step definitions do, and equal them bit for bit;
+Cox's weights exp(eta) still come from numpy's `np.exp`, whose last bits
+depend on the CPU's SIMD path.
 """
 
 from __future__ import annotations
@@ -81,10 +87,49 @@ def _loglog_interval(s: float, gw_sum: float, z: float) -> tuple[float, float]:
     return s ** math.exp(spread), s ** math.exp(-spread)
 
 
+def _loglog_bounds(s: np.ndarray, gw_sums: np.ndarray, z: float) -> tuple[np.ndarray, np.ndarray]:
+    """``_loglog_interval`` of each row, bit for bit: libm's log, exp and pow
+    mapped over the rows with 0 < s < 1, never numpy's SIMD loops."""
+    lower = (s >= 1.0).astype(float)
+    upper = lower.copy()
+    mid = np.flatnonzero(~((s >= 1.0) | (s <= 0.0)))
+    if len(mid):
+        s_mid = s[mid].tolist()
+        log_s = np.fromiter(map(math.log, s_mid), dtype=float, count=len(mid))
+        spread = z * np.sqrt(gw_sums[mid]) / np.abs(log_s)
+        lower[mid] = list(map(pow, s_mid, map(math.exp, spread.tolist())))
+        upper[mid] = list(map(pow, s_mid, map(math.exp, (-spread).tolist())))
+    return lower, upper
+
+
+def _product_limit(at_risk: np.ndarray, events: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The survival and cumulative Greenwood sums at each event time, bit for bit
+    the loop ``s *= 1.0 - d / n``, ``gw += d / (n * (n - d))``, which sets
+    s = 0 and gw = inf once every subject at risk has the event.
+
+    ``n`` and ``d`` convert to floats exactly. So does ``n * (n - d)`` below
+    2**53; past that the terms are divided as Python integers, as the loop does.
+    """
+    n, d = at_risk.astype(float), events.astype(float)
+    survival = np.multiply.accumulate(1.0 - d / n)
+    terms = np.full(len(n), math.inf)
+    alive = np.flatnonzero(at_risk > events)
+    if len(alive) and int(at_risk[0]) ** 2 >= 2**53:
+        pairs = zip(at_risk[alive].tolist(), events[alive].tolist())
+        terms[alive] = [d_j / (n_j * (n_j - d_j)) for n_j, d_j in pairs]
+    else:
+        terms[alive] = d[alive] / (n[alive] * (n[alive] - d[alive]))
+    return survival, _loop_sums(terms)
+
+
 def km_estimate(
-    times: Sequence[float], events: Sequence[bool], level: float = 0.95
+    times: Sequence[float], events: Sequence[bool], level: float = 0.95,
+    *, view: SortedScores | None = None,
 ) -> KMCurve:
-    """Product-limit survival estimate with Greenwood variance and log-log CIs."""
+    """Product-limit survival estimate with Greenwood variance and log-log CIs.
+
+    ``view`` is ``riskscore.sort_scores(times, events)`` when the caller has it.
+    """
     t = np.asarray(times, dtype=float)
     e = np.asarray(events, dtype=bool)
     if t.shape != e.shape or t.ndim != 1 or len(t) == 0:
@@ -94,44 +139,28 @@ def km_estimate(
     if not 0.0 < level < 1.0:
         raise ValueError("level must be in (0, 1)")
 
-    v = sort_scores(t, e)
+    v = view if view is not None else sort_scores(t, e)
     # Each tie block with events: n_at_risk = #{t >= its time}, d = its events.
     d = v.cum_pos[v.last + 1] - v.cum_pos[v.first]
     hit = d > 0
     event_counts, at_risk = d[hit], len(t) - v.first[hit]
-    z = _normal_quantile(level)
-
-    out_surv, out_se, out_lo, out_hi, out_sums = [], [], [], [], []
-    s = 1.0
-    gw_sum = 0.0
-    # A scalar recurrence in `math` keeps every float identical to the
-    # step-by-step product-limit definition.
-    for n_at_risk, d in zip(at_risk.tolist(), event_counts.tolist()):
-        s *= 1.0 - d / n_at_risk
-        if n_at_risk > d:
-            gw_sum += d / (n_at_risk * (n_at_risk - d))
-        else:
-            s = 0.0
-            gw_sum = math.inf
-        se = 0.0 if s <= 0.0 else s * math.sqrt(gw_sum)
-        lo, hi = _loglog_interval(s, gw_sum, z)
-        out_surv.append(s)
-        out_se.append(se)
-        out_lo.append(lo)
-        out_hi.append(hi)
-        out_sums.append(gw_sum)
+    survival, gw_sums = _product_limit(at_risk, event_counts)
+    se = np.zeros(len(survival))
+    alive = survival > 0.0
+    se[alive] = survival[alive] * np.sqrt(gw_sums[alive])
+    lower, upper = _loglog_bounds(survival, gw_sums, _normal_quantile(level))
 
     return KMCurve(
         times=v.s[v.last[hit]],
-        survival=np.asarray(out_surv),
-        greenwood_se=np.asarray(out_se),
+        survival=survival,
+        greenwood_se=se,
         at_risk=at_risk,
         events=event_counts,
-        lower=np.asarray(out_lo),
-        upper=np.asarray(out_hi),
+        lower=lower,
+        upper=upper,
         level=level,
         max_followup=float(v.s[-1]),
-        greenwood_sums=np.asarray(out_sums),
+        greenwood_sums=gw_sums,
         n=len(t),
     )
 
@@ -195,30 +224,48 @@ class LogrankResult:
     degenerate: bool
 
 
-def logrank(groups: Sequence[tuple[Sequence[float], Sequence[bool]]]) -> LogrankResult:
+def logrank(
+    groups: Sequence[tuple[Sequence[float], Sequence[bool]]] | np.ndarray,
+    *, view: SortedScores | None = None,
+) -> LogrankResult:
     """Observed-minus-expected chi-square comparison of k survival curves.
 
     Uses the full hypergeometric covariance of the first k-1 group event
     counts; a study with no events at all is degenerate and reported with
-    statistic 0 rather than an error.
+    statistic 0 rather than an error. ``groups`` holds each group's times and
+    events; or, with ``view`` (``riskscore.sort_scores`` of every subject's
+    time and event), each subject's group number 0..k-1 in the view's input
+    order. The tables are counts, which do not depend on the order of
+    subjects within a tie block, so both give the same statistic.
     """
-    k = len(groups)
-    if k < 2:
-        raise ValueError("need at least 2 groups")
-    times_list, events_list = [], []
-    for times, events in groups:
-        t = np.asarray(times, dtype=float)
-        e = np.asarray(events, dtype=bool)
-        if len(t) == 0:
+    if view is None:
+        k = len(groups)
+        if k < 2:
+            raise ValueError("need at least 2 groups")
+        times_list, events_list = [], []
+        for times, events in groups:
+            t = np.asarray(times, dtype=float)
+            e = np.asarray(events, dtype=bool)
+            if len(t) == 0:
+                raise ValueError("empty group")
+            if t.shape != e.shape:
+                raise ValueError("times and events must be equal-length")
+            if np.any(np.isnan(t)):
+                raise ValueError("times must not be NaN")
+            times_list.append(t)
+            events_list.append(e)
+        label = np.repeat(np.arange(k), [len(t) for t in times_list])
+        view = sort_scores(np.concatenate(times_list), np.concatenate(events_list))
+    else:
+        label = np.asarray(groups, dtype=np.intp)
+        if label.shape != view.order.shape:
+            raise ValueError("need one group number per subject of the view")
+        sizes = np.bincount(label)
+        k = len(sizes)
+        if k < 2:
+            raise ValueError("need at least 2 groups")
+        if not sizes.all():
             raise ValueError("empty group")
-        if t.shape != e.shape:
-            raise ValueError("times and events must be equal-length")
-        if np.any(np.isnan(t)):
-            raise ValueError("times must not be NaN")
-        times_list.append(t)
-        events_list.append(e)
-
-    view = sort_scores(np.concatenate(times_list), np.concatenate(events_list))
     if not view.cum_pos[-1]:
         return LogrankResult(statistic=0.0, df=k - 1, p_value=1.0, degenerate=True)
 
@@ -226,7 +273,7 @@ def logrank(groups: Sequence[tuple[Sequence[float], Sequence[bool]]]) -> Logrank
     # time at or before its own, so #{t >= et} sums a row and every later row.
     hit = view.cum_pos[view.last + 1] > view.cum_pos[view.first]
     row = np.repeat(np.cumsum(hit) - 1, view.last - view.first + 1)
-    group = np.repeat(np.arange(k), [len(t) for t in times_list])[view.order]
+    group = label[view.order]
     cell, size = row * k + group, int(hit.sum()) * k
     counts = np.bincount(cell[row >= 0], minlength=size).reshape(-1, k)
     d_table = np.bincount(cell[view.y], minlength=size).reshape(-1, k)
@@ -296,7 +343,13 @@ class _RiskSweep:
 
     order: np.ndarray  # subjects in the order the sweep adds them
     event_pos: np.ndarray  # positions in `order` of the events, in scoring order
-    block_end: np.ndarray  # per event, position in `order` of its block's last subject
+    ends: np.ndarray  # per block with events, position in `order` of its last subject
+    event_block: np.ndarray  # per event, its block's index into `ends`
+
+    @property
+    def block_end(self) -> np.ndarray:
+        """Per event, position in `order` of its block's last subject."""
+        return self.ends[self.event_block]
 
 
 def _risk_sweep(times: np.ndarray, events: np.ndarray) -> _RiskSweep:
@@ -311,40 +364,56 @@ def _view_sweep(v: SortedScores, index: np.ndarray) -> _RiskSweep:
     # at[p] is the sorted position at sweep position p.
     size = (v.last - v.first + 1)[::-1]
     at = np.arange(n) + np.repeat((v.first + v.last - (n - 1))[::-1], size)
-    event_pos = np.flatnonzero(v.y[at])
-    end = np.repeat((n - 1 - v.first)[::-1], size)[event_pos]
-    return _RiskSweep(order=index[at], event_pos=event_pos, block_end=end)
+    d = (v.cum_pos[v.last + 1] - v.cum_pos[v.first])[::-1]
+    hit = d > 0
+    return _RiskSweep(
+        order=index[at],
+        event_pos=np.flatnonzero(v.y[at]),
+        ends=(n - 1 - v.first)[::-1][hit],
+        event_block=np.repeat(np.arange(int(hit.sum())), d[hit]),
+    )
+
+
+def _swept_covariates(x: np.ndarray, sweep: _RiskSweep) -> tuple:
+    """A fit's covariates as every Newton step reads them, built once: in
+    sweep order, at the events in scoring order, and each product of two
+    columns a <= b in sweep order."""
+    xs = x[sweep.order]
+    p = x.shape[1]
+    return xs, xs[sweep.event_pos], [(a, b, xs[:, a] * xs[:, b]) for a in range(p) for b in range(a, p)]
 
 
 def _cox_ll_grad_hess(
-    beta: np.ndarray, x: np.ndarray, sweep: _RiskSweep
+    beta: np.ndarray, x: np.ndarray, sweep: _RiskSweep, swept: tuple | None = None
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Breslow partial log-likelihood with gradient and information matrix.
 
-    ``x`` is sorted by ascending time, and ``sweep`` comes from those times.
+    ``x`` is sorted by ascending time, ``sweep`` comes from those times, and
+    ``swept`` is ``_swept_covariates(x, sweep)`` when the caller has it.
     The risk-set sums S0, S1 and S2 are running sums in the sweep's order,
-    read at each event's tie block end, so tied events share the full risk
-    set at their common time (Therneau & Grambsch 2000, section 3.3). Every
-    sum adds its terms in the order of the one-subject-at-a-time sweep, so
-    the results equal it bit for bit.
+    read at each tie block's end, so tied events share the full risk set at
+    their common time (Therneau & Grambsch 2000, section 3.3). log S0, S1/S0
+    and S2/S0 are computed once per block and taken per event. Every sum adds
+    its terms in the order of the one-subject-at-a-time sweep, so the results
+    equal it bit for bit.
     """
+    xs, at_events, products = swept if swept is not None else _swept_covariates(x, sweep)
     p = x.shape[1]
+    ends, block = sweep.ends, sweep.event_block
     eta = x @ beta
     # Guard exp against overflow while the Newton loop's bound check is pending.
     w = np.exp(np.clip(eta, -700, 700))[sweep.order]
-    xs = x[sweep.order]
-    at, ev = sweep.block_end, sweep.event_pos
-    s0 = _loop_sums(w)[at]
+    s0 = _loop_sums(w)[ends]
     log_s0 = np.fromiter(map(math.log, s0.tolist()), dtype=float, count=len(s0))
-    ll = float(_loop_sum(eta[sweep.order[ev]] - log_s0))
+    ll = float(_loop_sum(eta[sweep.order[sweep.event_pos]] - log_s0[block]))
     grad = np.zeros(p)
     info = np.zeros((p, p))
-    xbar = [_loop_sums(w * xs[:, a])[at] / s0 for a in range(p)]
+    xbar = [_loop_sums(w * xs[:, a])[ends] / s0 for a in range(p)]
     for a in range(p):
-        grad[a] = _loop_sum(xs[ev, a] - xbar[a])
-        for b in range(a, p):
-            s2 = _loop_sums(w * (xs[:, a] * xs[:, b]))[at]
-            info[a, b] = info[b, a] = _loop_sum(s2 / s0 - xbar[a] * xbar[b])
+        grad[a] = _loop_sum(at_events[:, a] - xbar[a][block])
+    for a, b, product in products:
+        s2 = _loop_sums(w * product)[ends]
+        info[a, b] = info[b, a] = _loop_sum((s2 / s0 - xbar[a] * xbar[b])[block])
     return ll, grad, info
 
 
@@ -353,6 +422,7 @@ def cox_fit(
     times: Sequence[float],
     events: Sequence[bool],
     names: Sequence[str] | None = None,
+    *, view: SortedScores | None = None,
 ) -> CoxFit:
     """Newton maximization of the Breslow-ties Cox partial likelihood.
 
@@ -360,7 +430,8 @@ def cox_fit(
     stopping and step-halving rule). A singular information matrix, or a
     coefficient escaping past COX_COEF_BOUND while the likelihood still
     climbs, raises MonotoneLikelihoodError instead of returning a silently
-    huge estimate. Covariates must be finite.
+    huge estimate. Covariates must be finite. ``view`` is
+    ``riskscore.sort_scores(times, events)`` when the caller has it.
     """
     x = np.asarray(covariates, dtype=float)
     if x.ndim == 1:
@@ -385,15 +456,16 @@ def cox_fit(
     if len(names) != p:
         raise ValueError("names must match the covariate count")
 
-    v = sort_scores(t, e)
+    v = view if view is not None else sort_scores(t, e)
     x = x[v.order]
     sweep = _view_sweep(v, np.arange(n))
+    swept = _swept_covariates(x, sweep)
     d = v.cum_pos[v.last + 1] - v.cum_pos[v.first]
 
     beta0 = np.zeros(p)
-    start = _cox_ll_grad_hess(beta0, x, sweep)
+    start = _cox_ll_grad_hess(beta0, x, sweep, swept)
     beta, ll, iterations, converged = newton_ascent(
-        lambda beta: _cox_ll_grad_hess(beta, x, sweep), beta0, start,
+        lambda beta: _cox_ll_grad_hess(beta, x, sweep, swept), beta0, start,
         tol=COX_TOL, max_iter=COX_MAX_ITER, max_halvings=40, bound=COX_COEF_BOUND,
         error=MonotoneLikelihoodError,
         singular="singular information matrix in Cox fit (flat likelihood direction)",
