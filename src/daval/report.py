@@ -598,7 +598,7 @@ def _run_survival(table: StudyTable, params: dict, level: float, method: CIMetho
 
     horizon = params.get("horizon")
     if horizon is not None:
-        block["risk_at_horizon"] = _block(km_risk_at(curve, horizon, level=level))
+        block["risk_at_horizon"] = _block(km_risk_at(curve, horizon))
 
     groups_by = params.get("groups_by")
     if groups_by is not None:
@@ -615,13 +615,13 @@ def _run_survival(table: StudyTable, params: dict, level: float, method: CIMetho
                 "n_events": int(g_curve.events.sum()),
             }
             if horizon is not None:
-                g_at = km_risk_at(g_curve, horizon, level=level)
+                g_at = km_risk_at(g_curve, horizon)
                 entry["risk_at_horizon"] = _block(g_at, "risk", "lower", "upper", "extrapolated")
             group_blocks[name] = entry
         block["groups_by"] = groups_by
         block["groups"] = group_blocks
         if len(groups) >= 2:
-            block["logrank"] = _block(logrank(label, view=view))
+            block["logrank"] = _block(logrank(times, events, label, view=view))
 
     baseline_names = params.get("baseline_covariates", [])
     added_names = params.get("added_covariates", [])

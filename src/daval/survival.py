@@ -13,11 +13,13 @@ tied with an event at the same instant is treated as happening after it, so
 the censored subject still counts as at risk for that event. Risk sets come
 from the tie blocks of one stable sort of the times (`riskscore.sort_scores`),
 which a caller may share as ``view``: a report sorts its times once for every
-curve, the log-rank test and both Cox fits. KM and Cox terms are computed once
-per tie block. KM's log-log bounds and Cox's log S0 call libm's `log`, `exp`
-and `pow`, as the step-by-step definitions do, and equal them bit for bit;
-Cox's weights exp(eta) still come from numpy's `np.exp`, whose last bits
-depend on the CPU's SIMD path.
+curve, the log-rank test and both Cox fits. Each kernel takes one input form:
+`logrank` takes every subject's time, event and group number, `km_risk_at`
+reads the curve's own bounds, and a Cox fit builds one `_RiskSweep`. KM and
+Cox terms are computed once per tie block. KM's log-log bounds and Cox's
+log S0 call libm's `log`, `exp` and `pow`, as the step-by-step definitions
+do, and equal them bit for bit; Cox's weights exp(eta) still come from
+numpy's `np.exp`, whose last bits depend on the CPU's SIMD path.
 """
 
 from __future__ import annotations
@@ -78,18 +80,10 @@ class KMCurve:
         return 1.0 if idx < 0 else float(self.survival[idx])
 
 
-def _loglog_interval(s: float, gw_sum: float, z: float) -> tuple[float, float]:
-    if s >= 1.0:
-        return 1.0, 1.0
-    if s <= 0.0:
-        return 0.0, 0.0
-    spread = z * math.sqrt(gw_sum) / abs(math.log(s))
-    return s ** math.exp(spread), s ** math.exp(-spread)
-
-
 def _loglog_bounds(s: np.ndarray, gw_sums: np.ndarray, z: float) -> tuple[np.ndarray, np.ndarray]:
-    """``_loglog_interval`` of each row, bit for bit: libm's log, exp and pow
-    mapped over the rows with 0 < s < 1, never numpy's SIMD loops."""
+    """Log-log bounds s ** exp(+-z sqrt(gw) / |log s|) of each row, 1 where
+    s >= 1 and 0 where s <= 0: libm's log, exp and pow mapped over the rows
+    with 0 < s < 1, never numpy's SIMD loops."""
     lower = (s >= 1.0).astype(float)
     upper = lower.copy()
     mid = np.flatnonzero(~((s >= 1.0) | (s <= 0.0)))
@@ -174,22 +168,20 @@ class KMRiskAt:
     extrapolated: bool
 
 
-def km_risk_at(curve: KMCurve, t: float, level: float = 0.95) -> KMRiskAt:
+def km_risk_at(curve: KMCurve, t: float) -> KMRiskAt:
     """Cumulative event risk 1 - S(t) with its interval at the horizon t.
 
-    The interval comes from the log-log bounds at the latest event time at or
-    before t; horizons beyond the observed follow-up are flagged, not refused.
+    The interval is the curve's own log-log bounds, at ``curve.level``, at the
+    latest event time at or before t; horizons beyond the observed follow-up
+    are flagged, not refused.
     """
-    if t < 0:
+    if not t >= 0:  # also refuses NaN
         raise ValueError("t must be nonnegative")
     idx = int(np.searchsorted(curve.times, t, side="right")) - 1
     if idx < 0:
         s, lo, hi = 1.0, 1.0, 1.0
     else:
-        s = float(curve.survival[idx])
-        lo, hi = _loglog_interval(
-            s, float(curve.greenwood_sums[idx]), _normal_quantile(level)
-        )
+        s, lo, hi = (float(a[idx]) for a in (curve.survival, curve.lower, curve.upper))
     return KMRiskAt(
         time=float(t),
         risk=1.0 - s,
@@ -225,47 +217,37 @@ class LogrankResult:
 
 
 def logrank(
-    groups: Sequence[tuple[Sequence[float], Sequence[bool]]] | np.ndarray,
+    times: Sequence[float], events: Sequence[bool], groups: Sequence[int],
     *, view: SortedScores | None = None,
 ) -> LogrankResult:
     """Observed-minus-expected chi-square comparison of k survival curves.
 
-    Uses the full hypergeometric covariance of the first k-1 group event
-    counts; a study with no events at all is degenerate and reported with
-    statistic 0 rather than an error. ``groups`` holds each group's times and
-    events; or, with ``view`` (``riskscore.sort_scores`` of every subject's
-    time and event), each subject's group number 0..k-1 in the view's input
-    order. The tables are counts, which do not depend on the order of
-    subjects within a tie block, so both give the same statistic.
+    ``groups`` is each subject's group number 0..k-1, as in R's
+    ``survdiff(Surv(time, status) ~ group)``; every number must name at least
+    one subject. Uses the full hypergeometric covariance of the first k-1
+    group event counts; a study with no events at all is degenerate and
+    reported with statistic 0 rather than an error. ``view`` is
+    ``riskscore.sort_scores(times, events)`` when the caller has it.
     """
+    t = np.asarray(times, dtype=float)
+    e = np.asarray(events, dtype=bool)
+    label = np.asarray(groups, dtype=np.intp)
+    if not t.shape == e.shape == label.shape or t.ndim != 1:
+        raise ValueError("times, events and groups must be equal-length")
+    if np.isnan(t).any():
+        raise ValueError("times must not be NaN")
+    if (label < 0).any():
+        raise ValueError("group numbers must be nonnegative")
+    sizes = np.bincount(label)
+    k = len(sizes)
+    if k < 2:
+        raise ValueError("need at least 2 groups")
+    if not sizes.all():
+        raise ValueError("empty group")
     if view is None:
-        k = len(groups)
-        if k < 2:
-            raise ValueError("need at least 2 groups")
-        times_list, events_list = [], []
-        for times, events in groups:
-            t = np.asarray(times, dtype=float)
-            e = np.asarray(events, dtype=bool)
-            if len(t) == 0:
-                raise ValueError("empty group")
-            if t.shape != e.shape:
-                raise ValueError("times and events must be equal-length")
-            if np.any(np.isnan(t)):
-                raise ValueError("times must not be NaN")
-            times_list.append(t)
-            events_list.append(e)
-        label = np.repeat(np.arange(k), [len(t) for t in times_list])
-        view = sort_scores(np.concatenate(times_list), np.concatenate(events_list))
-    else:
-        label = np.asarray(groups, dtype=np.intp)
-        if label.shape != view.order.shape:
-            raise ValueError("need one group number per subject of the view")
-        sizes = np.bincount(label)
-        k = len(sizes)
-        if k < 2:
-            raise ValueError("need at least 2 groups")
-        if not sizes.all():
-            raise ValueError("empty group")
+        view = sort_scores(t, e)
+    elif view.order.shape != t.shape:
+        raise ValueError("view must hold one entry per subject")
     if not view.cum_pos[-1]:
         return LogrankResult(statistic=0.0, df=k - 1, p_value=1.0, degenerate=True)
 
@@ -273,8 +255,7 @@ def logrank(
     # time at or before its own, so #{t >= et} sums a row and every later row.
     hit = view.cum_pos[view.last + 1] > view.cum_pos[view.first]
     row = np.repeat(np.cumsum(hit) - 1, view.last - view.first + 1)
-    group = label[view.order]
-    cell, size = row * k + group, int(hit.sum()) * k
+    cell, size = row * k + label[view.order], int(hit.sum()) * k
     counts = np.bincount(cell[row >= 0], minlength=size).reshape(-1, k)
     d_table = np.bincount(cell[view.y], minlength=size).reshape(-1, k)
     n_table = np.cumsum(counts[::-1], axis=0)[::-1]
@@ -282,10 +263,7 @@ def logrank(
     try:
         stat = float(u @ np.linalg.solve(v, u))
     except np.linalg.LinAlgError:
-        if np.max(np.abs(u)) < 1e-12:
-            stat = 0.0
-        else:
-            stat = float(u @ np.linalg.pinv(v) @ u)
+        stat = 0.0 if np.max(np.abs(u)) < 1e-12 else float(u @ np.linalg.pinv(v) @ u)
     stat = max(stat, 0.0)
     return LogrankResult(
         statistic=stat,
@@ -334,30 +312,26 @@ class CoxFit:
 
 @dataclass(frozen=True)
 class _RiskSweep:
-    """The backward sweep over times sorted ascending, as index arrays.
+    """One Cox fit's backward sweep over a view's tie blocks, built once.
 
     The sweep adds tie blocks to the risk set from the latest time back, each
-    block in ascending index order, and scores a block's events, in the same
-    order, once the whole block is in.
+    block in ascending sorted position, and scores a block's events, in the
+    same order, once the whole block is in. Positions index the times sorted
+    ascending, which is also the row order of the fit's ``x``.
     """
 
-    order: np.ndarray  # subjects in the order the sweep adds them
+    order: np.ndarray  # sorted positions, in the order the sweep adds them
     event_pos: np.ndarray  # positions in `order` of the events, in scoring order
     ends: np.ndarray  # per block with events, position in `order` of its last subject
     event_block: np.ndarray  # per event, its block's index into `ends`
-
-    @property
-    def block_end(self) -> np.ndarray:
-        """Per event, position in `order` of its block's last subject."""
-        return self.ends[self.event_block]
+    xs: np.ndarray  # x in sweep order
+    at_events: np.ndarray  # x at the events, in scoring order
+    products: tuple  # (a, b, xs[:, a] * xs[:, b]) for each column pair a <= b
 
 
-def _risk_sweep(times: np.ndarray, events: np.ndarray) -> _RiskSweep:
-    return _view_sweep(v := sort_scores(times, events), v.order)
-
-
-def _view_sweep(v: SortedScores, index: np.ndarray) -> _RiskSweep:
-    """The sweep over a view's tie blocks; ``index`` names each sorted position."""
+def _cox_sweep(v: SortedScores, x: np.ndarray) -> _RiskSweep:
+    """The sweep over ``v``'s tie blocks, with ``x`` (rows in ``v``'s sorted
+    order) as every Newton step reads it."""
     n = len(v.s)
     # Reversing the tie blocks moves block b from sorted positions
     # first[b]..last[b] to sweep positions n-1-last[b]..n-1-first[b];
@@ -366,30 +340,26 @@ def _view_sweep(v: SortedScores, index: np.ndarray) -> _RiskSweep:
     at = np.arange(n) + np.repeat((v.first + v.last - (n - 1))[::-1], size)
     d = (v.cum_pos[v.last + 1] - v.cum_pos[v.first])[::-1]
     hit = d > 0
+    event_pos = np.flatnonzero(v.y[at])
+    xs = x[at]
+    pairs = [(a, b) for a in range(x.shape[1]) for b in range(a, x.shape[1])]
     return _RiskSweep(
-        order=index[at],
-        event_pos=np.flatnonzero(v.y[at]),
+        order=at,
+        event_pos=event_pos,
         ends=(n - 1 - v.first)[::-1][hit],
         event_block=np.repeat(np.arange(int(hit.sum())), d[hit]),
+        xs=xs,
+        at_events=xs[event_pos],
+        products=tuple((a, b, xs[:, a] * xs[:, b]) for a, b in pairs),
     )
 
 
-def _swept_covariates(x: np.ndarray, sweep: _RiskSweep) -> tuple:
-    """A fit's covariates as every Newton step reads them, built once: in
-    sweep order, at the events in scoring order, and each product of two
-    columns a <= b in sweep order."""
-    xs = x[sweep.order]
-    p = x.shape[1]
-    return xs, xs[sweep.event_pos], [(a, b, xs[:, a] * xs[:, b]) for a in range(p) for b in range(a, p)]
-
-
 def _cox_ll_grad_hess(
-    beta: np.ndarray, x: np.ndarray, sweep: _RiskSweep, swept: tuple | None = None
+    beta: np.ndarray, x: np.ndarray, sweep: _RiskSweep
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Breslow partial log-likelihood with gradient and information matrix.
 
-    ``x`` is sorted by ascending time, ``sweep`` comes from those times, and
-    ``swept`` is ``_swept_covariates(x, sweep)`` when the caller has it.
+    ``x`` is sorted by ascending time and ``sweep`` is ``_cox_sweep(view, x)``.
     The risk-set sums S0, S1 and S2 are running sums in the sweep's order,
     read at each tie block's end, so tied events share the full risk set at
     their common time (Therneau & Grambsch 2000, section 3.3). log S0, S1/S0
@@ -397,7 +367,6 @@ def _cox_ll_grad_hess(
     its terms in the order of the one-subject-at-a-time sweep, so the results
     equal it bit for bit.
     """
-    xs, at_events, products = swept if swept is not None else _swept_covariates(x, sweep)
     p = x.shape[1]
     ends, block = sweep.ends, sweep.event_block
     eta = x @ beta
@@ -408,10 +377,10 @@ def _cox_ll_grad_hess(
     ll = float(_loop_sum(eta[sweep.order[sweep.event_pos]] - log_s0[block]))
     grad = np.zeros(p)
     info = np.zeros((p, p))
-    xbar = [_loop_sums(w * xs[:, a])[ends] / s0 for a in range(p)]
+    xbar = [_loop_sums(w * sweep.xs[:, a])[ends] / s0 for a in range(p)]
     for a in range(p):
-        grad[a] = _loop_sum(at_events[:, a] - xbar[a][block])
-    for a, b, product in products:
+        grad[a] = _loop_sum(sweep.at_events[:, a] - xbar[a][block])
+    for a, b, product in sweep.products:
         s2 = _loop_sums(w * product)[ends]
         info[a, b] = info[b, a] = _loop_sum((s2 / s0 - xbar[a] * xbar[b])[block])
     return ll, grad, info
@@ -458,14 +427,13 @@ def cox_fit(
 
     v = view if view is not None else sort_scores(t, e)
     x = x[v.order]
-    sweep = _view_sweep(v, np.arange(n))
-    swept = _swept_covariates(x, sweep)
+    sweep = _cox_sweep(v, x)
     d = v.cum_pos[v.last + 1] - v.cum_pos[v.first]
 
     beta0 = np.zeros(p)
-    start = _cox_ll_grad_hess(beta0, x, sweep, swept)
+    start = _cox_ll_grad_hess(beta0, x, sweep)
     beta, ll, iterations, converged = newton_ascent(
-        lambda beta: _cox_ll_grad_hess(beta, x, sweep, swept), beta0, start,
+        lambda beta: _cox_ll_grad_hess(beta, x, sweep), beta0, start,
         tol=COX_TOL, max_iter=COX_MAX_ITER, max_halvings=40, bound=COX_COEF_BOUND,
         error=MonotoneLikelihoodError,
         singular="singular information matrix in Cox fit (flat likelihood direction)",

@@ -196,3 +196,11 @@ def triage_records(a, b, c, d, e, f):
                 records.append(ungradable_record(f"s{i:04d}", truth))
             i += 1
     return records
+
+
+def pooled(groups):
+    """Every subject's time, event and group number, for `logrank`, from a
+    list of per-group (times, events) pairs."""
+    times = np.concatenate([np.asarray(t, dtype=float) for t, _ in groups])
+    events = np.concatenate([np.asarray(e, dtype=bool) for _, e in groups])
+    return times, events, np.repeat(np.arange(len(groups)), [len(t) for t, _ in groups])

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from daval import riskscore, survival
 from daval.riskscore import CalibrationMode, PerfectSeparationError, fit_recalibration
-from daval.survival import MonotoneLikelihoodError, _cox_ll_grad_hess, _risk_sweep, cox_fit
+from daval.survival import MonotoneLikelihoodError, _cox_ll_grad_hess, _cox_sweep, cox_fit
 
 PROPERTY = settings(max_examples=150, deadline=None)
 
@@ -33,7 +33,7 @@ def _reference_cox(x, times, events, tol, max_iter, halvings):
     e = np.asarray(events, dtype=bool)
     order = np.argsort(t, kind="stable")
     x, t, e = x[order], t[order], e[order]
-    sweep = _risk_sweep(t, e)
+    sweep = _cox_sweep(riskscore.sort_scores(t, e), x)
     p = x.shape[1]
     beta = np.zeros(p)
     ll, grad, info = _cox_ll_grad_hess(beta, x, sweep)

@@ -1,22 +1,22 @@
 """`run_plan` on the study table: no per-row records, the same messages.
 
 The plan runner reads every analysis's arrays from the ingested
-`StudyTable`. These tests count record constructions and sorts during whole
-runs, pin the per-analysis error strings to the wording of the record-based
-runners, and cover plan-level behaviour that depends on reading the dataset
-once.
+`StudyTable`. These tests count record constructions and `sort_scores` calls
+during whole runs, pin the per-analysis error strings to the wording of the
+record-based runners, and cover plan-level behaviour that depends on reading
+the dataset once.
 """
 
 import json
 import math
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from daval import dataset
 from daval.cli import main as cli_main
 from daval.report import PlanError, load_plan, plan_from_dict, report_to_dict, run_plan
+from daval.riskscore import sort_scores
 
 DEMO = Path(__file__).resolve().parent.parent / "demo"
 
@@ -57,16 +57,16 @@ def test_demo_plans_build_no_records(record_count, plan):
 
 @pytest.fixture
 def sort_count(monkeypatch):
-    """Number of np.argsort and np.sort calls so far."""
+    """Number of `riskscore.sort_scores` calls so far, through every module
+    that binds the name."""
     calls = {"n": 0}
-    for name in ("argsort", "sort"):
-        original = getattr(np, name)
 
-        def counting(*args, _original=original, **kwargs):
-            calls["n"] += 1
-            return _original(*args, **kwargs)
+    def counting(*args, **kwargs):
+        calls["n"] += 1
+        return sort_scores(*args, **kwargs)
 
-        monkeypatch.setattr(np, name, counting)
+    for module in ("riskscore", "report", "survival"):
+        monkeypatch.setattr(f"daval.{module}.sort_scores", counting)
     return calls
 
 

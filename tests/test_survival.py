@@ -18,7 +18,7 @@ from daval.survival import (
     logrank,
     survival_arrays,
 )
-from conftest import score_record, survival_record
+from conftest import pooled, score_record, survival_record
 
 
 def grid_search_cox_ll(x, times, events, betas):
@@ -116,6 +116,21 @@ def test_km_risk_at_hand_example():
         km_risk_at(curve, -1.0)
 
 
+def test_km_risk_at_refuses_a_nan_horizon():
+    curve = km_estimate([1.0, 2.0, 3.0, 4.0], [True, False, True, True])
+    with pytest.raises(ValueError, match="^t must be nonnegative$"):
+        km_risk_at(curve, math.nan)
+
+
+def test_km_risk_at_reads_the_interval_at_the_curves_level():
+    times, events = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0], [True, False, True, True, False, True]
+    curve = km_estimate(times, events, level=0.8)
+    narrow = km_risk_at(curve, 3.5)
+    wide = km_risk_at(km_estimate(times, events, level=0.95), 3.5)
+    assert (narrow.lower, narrow.upper) == (1.0 - curve.upper[1], 1.0 - curve.lower[1])
+    assert wide.lower < narrow.lower < narrow.risk == wide.risk < narrow.upper < wide.upper
+
+
 def test_km_risk_monotone_in_horizon():
     rng = SeededGenerator(303).generator()
     times = rng.exponential(3.0, size=60)
@@ -137,18 +152,18 @@ def test_logrank_identical_groups_give_zero():
     rng = SeededGenerator(305).generator()
     times = rng.exponential(1.0, size=30)
     events = rng.random(30) < 0.7
-    res = logrank([(times, events), (times, events)])
+    res = logrank(*pooled([(times, events), (times, events)]))
     assert res.statistic == pytest.approx(0.0, abs=1e-9)
     assert res.p_value == pytest.approx(1.0, abs=1e-6)
     assert res.df == 1
 
-    triple = logrank([(times, events)] * 3)
+    triple = logrank(*pooled([(times, events)] * 3))
     assert triple.statistic == pytest.approx(0.0, abs=1e-9)
     assert triple.df == 2
 
 
 def test_logrank_no_events_is_degenerate():
-    res = logrank([([1.0, 2.0], [False, False]), ([1.5], [False])])
+    res = logrank(*pooled([([1.0, 2.0], [False, False]), ([1.5], [False])]))
     assert res.degenerate
     assert res.statistic == 0.0
     assert res.p_value == 1.0
@@ -159,7 +174,7 @@ def test_logrank_detects_separated_hazards():
     a_times = rng.exponential(1.0, size=100)
     b_times = rng.exponential(5.0, size=100)
     res = logrank(
-        [(a_times, np.ones(100, bool)), (b_times, np.ones(100, bool))]
+        *pooled([(a_times, np.ones(100, bool)), (b_times, np.ones(100, bool))])
     )
     assert res.p_value < 0.01
     assert not res.degenerate
@@ -167,9 +182,9 @@ def test_logrank_detects_separated_hazards():
 
 def test_logrank_validates_groups():
     with pytest.raises(ValueError):
-        logrank([([1.0], [True])])
+        logrank(*pooled([([1.0], [True])]))
     with pytest.raises(ValueError):
-        logrank([([1.0], [True]), ([], [])])
+        logrank(*pooled([([1.0], [True]), ([], [])]))
 
 
 def test_cox_zero_covariate_returns_null_fit():

@@ -14,9 +14,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import pooled
 from daval import survival
 from daval.riskscore import sort_scores
-from daval.survival import _risk_sweep, cox_fit, km_estimate, logrank
+from daval.survival import _cox_sweep, cox_fit, km_estimate, logrank
 
 PROPERTY = settings(max_examples=300, deadline=None)
 
@@ -51,7 +52,7 @@ def test_each_kernel_sorts_once_through_the_view(monkeypatch):
     km_estimate(times, events)
     assert calls == [200]
     calls.clear()
-    logrank([(times[:80], events[:80]), (times[80:150], events[80:150]), (times[150:], events[150:])])
+    logrank(*pooled([(times[:80], events[:80]), (times[80:150], events[80:150]), (times[150:], events[150:])]))
     assert calls == [200]
     calls.clear()
     cox_fit(x, times, events)
@@ -89,8 +90,9 @@ def _descending_sweep(times, events):
 def test_risk_sweep_matches_descending_stable_sort(pairs):
     times = np.array([t for t, _ in pairs], dtype=float)
     events = np.array([e for _, e in pairs], dtype=bool)
-    sweep = _risk_sweep(times, events)
+    view = sort_scores(times, events)
+    sweep = _cox_sweep(view, np.zeros((len(times), 1)))
     order, event_pos, block_end = _descending_sweep(times, events)
-    assert sweep.order.tolist() == order.tolist()
+    assert view.order[sweep.order].tolist() == order.tolist()
     assert sweep.event_pos.tolist() == event_pos.tolist()
-    assert sweep.block_end.tolist() == block_end.tolist()
+    assert sweep.ends[sweep.event_block].tolist() == block_end.tolist()

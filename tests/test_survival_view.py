@@ -4,7 +4,7 @@
 it finds it. A report's survival block sorts its times once and hands that
 view to the pooled curve, each group curve (the view restricted to the
 group's rows), the log-rank test and both Cox fits. KM's vectorised log-log
-bounds must equal the scalar `_loglog_interval`, and its Greenwood terms the
+bounds must equal the scalar interval below, and its Greenwood terms the
 integer loop past 2**53. A plan that names a covariate twice is refused
 before any analysis runs.
 """
@@ -19,13 +19,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import pooled
 from daval import report, survival
 from daval.cli import main as cli_main
 from daval.report import PlanError, plan_from_dict
 from daval.riskscore import sort_scores
 from daval.survival import (
     _loglog_bounds,
-    _loglog_interval,
     _product_limit,
     km_estimate,
     logrank,
@@ -121,15 +121,43 @@ def test_logrank_on_group_numbers_equals_logrank_on_groups(case, k):
     label = np.arange(len(times)) % k
     np.random.default_rng(len(times)).shuffle(label)
     groups = [(times[label == g], events[label == g]) for g in range(k)]
-    assert logrank(label, view=sort_scores(times, events)) == logrank(groups)
+    assert logrank(times, events, label, view=sort_scores(times, events)) == logrank(*pooled(groups))
 
 
 def test_logrank_on_group_numbers_refuses_a_missing_group():
-    view = sort_scores([1.0, 2.0, 3.0], [True, False, True])
+    times, events = [1.0, 2.0, 3.0], [True, False, True]
+    view = sort_scores(times, events)
     with pytest.raises(ValueError, match="empty group"):
-        logrank(np.array([0, 2, 0]), view=view)
+        logrank(times, events, np.array([0, 2, 0]), view=view)
     with pytest.raises(ValueError, match="at least 2 groups"):
-        logrank(np.array([0, 0, 0]), view=view)
+        logrank(times, events, np.array([0, 0, 0]), view=view)
+
+
+@pytest.mark.parametrize(
+    "times, events, groups, view, message",
+    [
+        ([1.0, 2.0, 3.0], [True, False], [0, 1, 0], None, "^times, events and groups must be equal-length$"),
+        ([1.0, 2.0, 3.0], [True, False, True], [0, 1], None, "^times, events and groups must be equal-length$"),
+        ([1.0, math.nan, 3.0], [True, False, True], [0, 1, 0], None, "^times must not be NaN$"),
+        ([1.0, 2.0, 3.0], [True, False, True], [0, -1, 1], None, "^group numbers must be nonnegative$"),
+        ([1.0, 2.0], [True, False], [0, 1], [1.0, 2.0, 3.0], "^view must hold one entry per subject$"),
+    ],
+)
+def test_logrank_names_each_bad_input(times, events, groups, view, message):
+    if view is not None:
+        view = sort_scores(view, np.zeros(len(view), dtype=bool))
+    with pytest.raises(ValueError, match=message):
+        logrank(times, events, groups, view=view)
+
+
+def _loglog_interval(s, gw_sum, z):
+    """The log-log interval of one survival value, step by step."""
+    if s >= 1.0:
+        return 1.0, 1.0
+    if s <= 0.0:
+        return 0.0, 0.0
+    spread = z * math.sqrt(gw_sum) / abs(math.log(s))
+    return s ** math.exp(spread), s ** math.exp(-spread)
 
 
 _survival = st.sampled_from([0.0, 1.0, 0.5, 1 - 2**-53, 5e-324]) | st.floats(0.0, 1.0)
@@ -183,38 +211,33 @@ def test_product_limit_keeps_the_integer_loop_past_2_53(at_risk, events):
 
 @pytest.fixture
 def survival_block_calls(monkeypatch):
-    """Per survival block run: sort_scores and np.argsort calls. np.unique and
-    np.sort are refused while a survival block runs."""
-    blocks, active = [], []
-    for mod in (report, survival):
-        original = mod.sort_scores
+    """Per survival block run: sort_scores calls. np.argsort, np.sort and
+    np.unique are refused while a survival block runs, outside sort_scores."""
+    blocks, active = [], []  # active: True in a survival block, False in sort_scores
 
-        def counted(*args, _original=original, **kwargs):
-            if active:
-                blocks[-1]["sort_scores"] += 1
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(mod, "sort_scores", counted)
-    argsort = np.argsort
-
-    def counted_argsort(*args, **kwargs):
+    def counted(*args, **kwargs):
         if active:
-            blocks[-1]["argsort"] += 1
-        return argsort(*args, **kwargs)
+            blocks[-1]["sort_scores"] += 1
+        active.append(False)
+        try:
+            return sort_scores(*args, **kwargs)
+        finally:
+            active.pop()
 
-    monkeypatch.setattr(np, "argsort", counted_argsort)
-    for name in ("unique", "sort"):
+    for mod in (report, survival):
+        monkeypatch.setattr(mod, "sort_scores", counted)
+    for name in ("argsort", "sort", "unique"):
         original = getattr(np, name)
 
         def refused(*args, _original=original, _name=name, **kwargs):
-            assert not active, f"survival called np.{_name}"
+            assert not (active and active[-1]), f"survival called np.{_name} outside sort_scores"
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(np, name, refused)
     analysis = report.ANALYSES["survival"]
 
     def run(*args, **kwargs):
-        blocks.append({"sort_scores": 0, "argsort": 0})
+        blocks.append({"sort_scores": 0})
         active.append(True)
         try:
             return analysis.run(*args, **kwargs)
@@ -232,7 +255,7 @@ def test_run_sorts_the_times_once_per_survival_block(tmp_path, survival_block_ca
     rc = cli_main(["run", "--plan", str(path), "--out", str(tmp_path / "out")])
     capsys.readouterr()
     assert rc == 0
-    assert survival_block_calls == [{"sort_scores": 1, "argsort": 1}]
+    assert survival_block_calls == [{"sort_scores": 1}]
     result = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
     block = result["results"]["survival"]
     assert {"groups", "logrank", "cox"} <= set(block)
